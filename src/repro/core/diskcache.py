@@ -514,22 +514,6 @@ class DiskCache:
             return []
         return [d.name for d in qdir.iterdir() if d.is_dir()]
 
-    def quarantine_entry(self, key: str) -> bool:
-        """Park a corrupted entry by key; ``True`` if one was moved.
-
-        Public hook for callers that discover corruption *inside* a
-        payload the cache already served — e.g. a sharded table whose
-        column digest no longer matches (:class:`ShardIntegrityError`
-        from ``repro.core.shard``). The entry is moved into quarantine
-        so the next ``get_path`` misses and the payload is re-derived.
-        """
-        entry = self._entry_dir(key)
-        if not entry.is_dir():
-            return False
-        self.stats.errors += 1
-        self._quarantine(entry)
-        return True
-
     def _quarantine(self, entry: Path) -> None:
         """Move a corrupted entry aside instead of serving it again.
 

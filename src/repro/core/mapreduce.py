@@ -37,8 +37,8 @@ killed at its per-block timeout. Failures are classified:
 ``integrity``
     A :class:`~repro.core.shard.ShardIntegrityError` — the table
     itself is damaged, so retrying the same bytes cannot help. The
-    optional ``heal`` callback quarantines and re-derives the table
-    (see ``experiments/datasets.py``), in-flight blocks are requeued
+    optional ``heal`` callback re-derives the table from its source
+    (e.g. re-spilling a generator stream), in-flight blocks are requeued
     against the healed root, and finished block results stay valid
     because re-derivation is byte-identical.
 ``error``
@@ -52,8 +52,7 @@ speculative duplicate; the first result wins and the loser is killed.
 Recovery counters (``mapreduce_retries``, ``mapreduce_crashes``,
 ``mapreduce_block_timeouts``, ``mapreduce_respawns``,
 ``mapreduce_stragglers``, ``mapreduce_inline``) accumulate into the
-optional ``timings`` so they surface in the run's recovery footer and
-``--json`` report.
+optional ``timings`` so they surface in the caller's recovery footer.
 """
 
 from __future__ import annotations

@@ -34,11 +34,7 @@ RECOVERY_COUNTERS = (
     "faults_injected",
     "cache_quarantined",
     "cache_errors",
-    # Out-of-core layer (sharded tables + supervised map-reduce).
-    "shards_quarantined",
-    "shards_rederived",
-    "spills_resumed",
-    "spill_shards_reused",
+    # Supervised map-reduce over sharded tables.
     "mapreduce_retries",
     "mapreduce_respawns",
     "mapreduce_crashes",

@@ -1,13 +1,14 @@
 """``repro-bench``: tracked kernel + experiment benchmark harness.
 
 Times the vectorized analysis/simulation kernels against their scalar
-golden references, the chunked paper-scale host-load pipeline, the
-out-of-core sharded backend against the in-memory batch path (plus a
-spawn-isolated 10x-paper streaming run whose ``peak_rss_kb`` is the
-bounded-memory claim), and every registered experiment, at one or more
-dataset scales. Results
-land in ``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments)
-and each run diffs itself against the previous snapshot, flagging
+golden references, the chunked paper-scale host-load pipeline,
+map-reduce folds over on-disk shards (:mod:`repro.core.shard`,
+:mod:`repro.core.mapreduce`) against the same reductions over one
+in-memory array (plus a spawn-isolated 10x-paper streaming run whose
+``peak_rss_kb`` is the bounded-memory claim), and every registered
+experiment, at one or more dataset scales. Results land in
+``benchmarks/BENCH_<n>.json`` snapshots (``n`` auto-increments) and
+each run diffs itself against the previous snapshot, flagging
 regressions.
 
 Regression policy: by default only *speedup ratios* are compared —
@@ -78,7 +79,6 @@ from ..traces.schema import priority_band_array
 from ..core.table import Table
 from .datasets import SCALES
 from .fig7_max_load import ATTRIBUTES as _MAXLOAD_ATTRIBUTES
-from .fig7_max_load import _machine_maxima, _merge_maxima
 from .registry import EXPERIMENTS
 
 __all__ = ["main", "run_benchmarks"]
@@ -131,7 +131,7 @@ _SCALAR_SKIP_SCALES = {"paper"}
 #: Paper matches the trace's 25M tasks.
 _SHARDED_ROWS = {"small": 200_000, "medium": 2_000_000, "paper": 25_000_000}
 
-#: Production spill size (the runner's ``--shard-rows`` default).
+#: Production spill size: 1M-row shards.
 _SHARD_ROWS_DEFAULT = 1_000_000
 
 #: 10x-paper streaming run: (horizon_s, tasks/hour) — 250M tasks over
@@ -446,7 +446,7 @@ def _bench_hostload_pipeline(scale: str, seed: int) -> dict[str, object]:
     return _entry("hostload_pipeline", scale, wall, cpu, tasks=int(total))
 
 
-# -- sharded backend benches ---------------------------------------------------
+# -- sharded map-reduce benches -----------------------------------------------
 
 
 def _sharded_ecdf_kernel(shard) -> ECDFAccumulator:
@@ -463,6 +463,45 @@ def _sharded_mass_kernel(shard) -> MassCountAccumulator:
     return acc
 
 
+#: Usage column backing each Fig. 7 attribute.
+_USAGE_COLUMN = {
+    "cpu": "cpu_usage",
+    "mem": "mem_usage",
+    "mem_assigned": "mem_assigned",
+    "page_cache": "page_cache",
+}
+
+
+def _machine_maxima(shard) -> dict[int, dict[str, float]]:
+    """Map kernel: per-machine max of each usage attribute in one shard.
+
+    The usage spill is machine-major and group-aligned, so every
+    machine's full series sits contiguously in exactly one shard;
+    ``np.maximum.reduceat`` over the run starts gives the same float
+    maxima as ``MachineLoadSeries.max_load`` (max is exact under any
+    grouping).
+    """
+    ids = np.asarray(shard["machine_id"])
+    starts = np.concatenate(
+        ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1)
+    )
+    maxima = {
+        attr: np.maximum.reduceat(np.asarray(shard[col]), starts)
+        for attr, col in _USAGE_COLUMN.items()
+    }
+    return {
+        int(mid): {
+            attr: float(maxima[attr][k]) for attr in _MAXLOAD_ATTRIBUTES
+        }
+        for k, mid in enumerate(ids[starts].tolist())
+    }
+
+
+def _merge_maxima(left: dict, right: dict) -> dict:
+    left.update(right)
+    return left
+
+
 def _bench_sharded_reduce(
     scale: str, seed: int, log: Callable[[str], None]
 ) -> list[dict[str, object]]:
@@ -470,11 +509,10 @@ def _bench_sharded_reduce(
 
     Both sides reduce the same duration column to the same result
     (asserted bit-identical), so the speedup column is an honest
-    backend-vs-backend measure of what the out-of-core fold costs on
-    top of one materialized array. Near 1x is the expected answer —
-    the point of the sharded path is bounded memory, not single-core
-    wall time — and entries under the 1.5x floor are exempt from the
-    retention gate.
+    measure of what the out-of-core fold costs on top of one
+    materialized array. Near 1x is the expected answer — the point of
+    the sharded path is bounded memory, not single-core wall time — and
+    entries under the 1.5x floor are exempt from the retention gate.
     """
     rows = _SHARDED_ROWS[scale]
     rng = np.random.default_rng(seed)
@@ -538,10 +576,10 @@ def _memory_machine_maxima(
 ) -> dict[int, dict[str, float]]:
     """In-memory baseline: grouped series extraction, then per-machine max.
 
-    This is the memory backend's real Fig. 7 path — one stable lexsort
-    plus a per-machine series gather, then an absolute max per usage
-    attribute — so ``sharded_hostload``'s speedup measures backend
-    against backend on identical outputs, not against a strawman.
+    This is Fig. 7's real path — one stable lexsort plus a per-machine
+    series gather, then an absolute max per usage attribute — so
+    ``sharded_hostload``'s speedup measures the shard fold against the
+    in-memory path on identical outputs, not against a strawman.
     """
     series = grouped_machine_series(usage, machines)
     return {
@@ -559,9 +597,8 @@ def _bench_sharded_hostload(
     ``np.maximum.reduceat`` (one shard resident at a time); the
     baseline runs :func:`_memory_machine_maxima`. Results are asserted
     identical before either entry is recorded. The spill itself is
-    untimed: the dataset cache writes the layout once and every
-    analysis that follows reads it, so the sort cost is amortized
-    exactly as it is in production.
+    untimed: a layout is written once and read by every fold that
+    follows, so only the fold is measured.
 
     ``sharded_hostload_pool`` (paper scale only) folds the same kernel
     through the spawn pool with 4 workers. On a single-core host the

@@ -13,103 +13,21 @@ import numpy as np
 from ..core.noise import autocorrelation, noise_stats
 from ..synth.grid_hostload import GridHostConfig, generate_grid_host_series
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    SCALES,
-    active_backend,
-    open_sharded,
-    sharded_machine_usage,
-    sharded_map_shards,
-    simulation_dataset,
-)
+from .datasets import SCALES, simulation_dataset
 
 __all__ = ["run"]
-
-
-def _relative_cpu_means(shard, machine_ids, cpu_caps) -> dict[int, float]:
-    """Map kernel: mean relative CPU load per machine in one shard.
-
-    ``machine_ids``/``cpu_caps`` are the machines-table columns; the
-    division uses the same Python-float capacity as
-    ``MachineLoadSeries.relative``, and each machine's samples are a
-    contiguous time-ordered run (group-aligned spill), so every mean is
-    bit-identical to the in-memory series path.
-    """
-    cap_of = dict(
-        zip(
-            np.asarray(machine_ids).tolist(),
-            np.asarray(cpu_caps, dtype=np.float64).tolist(),
-        )
-    )
-    ids = np.asarray(shard["machine_id"])
-    starts = np.concatenate(([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1))
-    ends = np.concatenate((starts[1:], [ids.size]))
-    cpu = np.asarray(shard["cpu_usage"])
-    out: dict[int, float] = {}
-    for k, mid in enumerate(ids[starts].tolist()):
-        rel = np.clip(cpu[starts[k] : ends[k]] / cap_of[mid], 0.0, 1.0)
-        out[int(mid)] = float(rel.mean())
-    return out
-
-
-def _sharded_google_host(data, scale, seed, backend):
-    """Median-mean-CPU host's relative CPU/mem series from the spill."""
-    path = sharded_machine_usage(scale, seed, backend.shard_rows)
-    machines = data.result.machines
-    per_shard = sharded_map_shards(
-        path,
-        _relative_cpu_means,
-        args=(
-            np.asarray(machines["machine_id"], dtype=np.int64),
-            np.asarray(machines["cpu_capacity"], dtype=np.float64),
-        ),
-    )
-    shards = open_sharded(path)
-    mean_of: dict[int, float] = {}
-    shard_of: dict[int, int] = {}
-    for si, found in enumerate(per_shard):
-        for mid, value in found.items():
-            mean_of[mid] = value
-            shard_of[mid] = si
-    # Machines-table order with duplicates/missing skipped — the same
-    # order the in-memory series dict iterates in.
-    row_of: dict[int, int] = {}
-    ordered: list[int] = []
-    for i, machine_id in enumerate(machines["machine_id"]):
-        mid = int(machine_id)
-        if mid in row_of or mid not in mean_of:
-            continue
-        row_of[mid] = i
-        ordered.append(mid)
-    means = np.asarray([mean_of[mid] for mid in ordered])
-    sel = ordered[int(np.argsort(means)[len(ordered) // 2])]
-    shard = shards.shard(
-        shard_of[sel], columns=("machine_id", "cpu_usage", "mem_usage")
-    )
-    ids = np.asarray(shard["machine_id"])
-    lo = int(np.searchsorted(ids, sel, side="left"))
-    hi = int(np.searchsorted(ids, sel, side="right"))
-    row = row_of[sel]
-    cpu_cap = float(machines["cpu_capacity"][row])
-    mem_cap = float(machines["mem_capacity"][row])
-    g_cpu = np.clip(np.asarray(shard["cpu_usage"])[lo:hi] / cpu_cap, 0.0, 1.0)
-    g_mem = np.clip(np.asarray(shard["mem_usage"])[lo:hi] / mem_cap, 0.0, 1.0)
-    return g_cpu, g_mem
 
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = simulation_dataset(scale, seed)
     horizon = SCALES[scale].sim_horizon
 
-    backend = active_backend()
-    if backend.name == "sharded":
-        g_cpu, g_mem = _sharded_google_host(data, scale, seed, backend)
-    else:
-        # Google host: the machine with the median mean CPU load.
-        series = list(data.series.values())
-        means = np.asarray([s.relative("cpu").mean() for s in series])
-        google = series[int(np.argsort(means)[len(means) // 2])]
-        g_cpu = google.relative("cpu")
-        g_mem = google.relative("mem")
+    # Google host: the machine with the median mean CPU load.
+    series = list(data.series.values())
+    means = np.asarray([s.relative("cpu").mean() for s in series])
+    google = series[int(np.argsort(means)[len(means) // 2])]
+    g_cpu = google.relative("cpu")
+    g_mem = google.relative("mem")
 
     # Grid hosts: synthetic step-load nodes per the Fig. 13 model.
     ag_cfg = GridHostConfig(mean_level_duration=8 * 3600.0)

@@ -14,12 +14,7 @@ import numpy as np
 from ..core.ecdf import histogram_counts
 from ..traces.schema import priority_band_array
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import workload_dataset
 
 __all__ = ["run"]
 
@@ -29,7 +24,7 @@ _PRIORITIES = np.arange(1, 13)
 
 @dataclass
 class _PriorityCounts:
-    """Mergeable Fig. 2 state: pure integer counts, exact under sums."""
+    """Fig. 2 counts per priority and per band."""
 
     job_counts: np.ndarray  # int64 per priority 1..12
     task_counts: np.ndarray  # int64 per priority 1..12
@@ -37,17 +32,11 @@ class _PriorityCounts:
     total_jobs: int
     total_tasks: int
 
-    def merge(self, other: "_PriorityCounts") -> "_PriorityCounts":
-        self.job_counts = self.job_counts + other.job_counts
-        self.task_counts = self.task_counts + other.task_counts
-        self.band_counts = self.band_counts + other.band_counts
-        self.total_jobs += other.total_jobs
-        self.total_tasks += other.total_tasks
-        return self
 
-
-def _count_shard(priorities: np.ndarray, num_tasks: np.ndarray) -> _PriorityCounts:
-    """Fig. 2 counts of one row chunk (the whole table, or one shard)."""
+def _count_priorities(
+    priorities: np.ndarray, num_tasks: np.ndarray
+) -> _PriorityCounts:
+    """Fig. 2 counts over the Google job table."""
     job_counts = histogram_counts(priorities, _PRIORITIES)
     # Task counts weight each job by its task fan-out.
     task_counts = np.array(
@@ -67,27 +56,11 @@ def _count_shard(priorities: np.ndarray, num_tasks: np.ndarray) -> _PriorityCoun
     )
 
 
-def _collect_priorities(shard) -> _PriorityCounts:
-    """Map kernel: one shard's priority/task histogram."""
-    return _count_shard(
-        np.asarray(shard["priority"]), np.asarray(shard["num_tasks"])
-    )
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    backend = active_backend()
-    if backend.name == "sharded":
-        # Integer count sums merge exactly in any grouping, so the
-        # streamed histogram is byte-identical to the in-memory one.
-        counts = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows),
-            _collect_priorities,
-        )
-    else:
-        jobs = workload_dataset(scale, seed).google_jobs
-        counts = _count_shard(
-            np.asarray(jobs["priority"]), np.asarray(jobs["num_tasks"])
-        )
+    jobs = workload_dataset(scale, seed).google_jobs
+    counts = _count_priorities(
+        np.asarray(jobs["priority"]), np.asarray(jobs["num_tasks"])
+    )
     job_counts = counts.job_counts
     band_fracs = {
         "low(1-4)": float(int(counts.band_counts[0]) / counts.total_jobs),

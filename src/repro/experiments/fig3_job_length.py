@@ -9,15 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ecdf import ecdf
-from ..core.kernels import ECDFAccumulator
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    grid_system_names,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import grid_system_names, workload_dataset
 
 __all__ = ["run", "CDF_POINTS"]
 
@@ -25,32 +18,15 @@ __all__ = ["run", "CDF_POINTS"]
 CDF_POINTS = (500, 1000, 2000, 4000, 6000, 8000, 10000)
 
 
-def _collect_lengths(shard) -> ECDFAccumulator:
-    """Map kernel: pool one shard's job lengths into ECDF state."""
-    acc = ECDFAccumulator()
-    acc.add(np.asarray(shard["end_time"]) - np.asarray(shard["submit_time"]))
-    return acc
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    backend = active_backend()
 
     cdfs: dict[str, object] = {}
-    if backend.name == "sharded":
-        # ECDF state merges exactly (value-keyed integer counts), so the
-        # streamed Google CDF is bit-identical to the in-memory one; the
-        # small Grid tables stay in memory either way.
-        cdfs["Google"] = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows),
-            _collect_lengths,
-        ).finalize()
-    else:
-        cdfs["Google"] = ecdf(
-            np.asarray(
-                data.google_jobs["end_time"] - data.google_jobs["submit_time"]
-            )
+    cdfs["Google"] = ecdf(
+        np.asarray(
+            data.google_jobs["end_time"] - data.google_jobs["submit_time"]
         )
+    )
     for name in grid_system_names():
         jobs = data.grid_jobs[name]
         cdfs[name] = ecdf(np.asarray(jobs["end_time"] - jobs["submit_time"]))

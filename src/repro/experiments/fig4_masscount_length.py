@@ -10,40 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import MassCountAccumulator
 from ..core.masscount import joint_ratio_label, mass_count
 from ..synth.presets import DAY
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_map_reduce,
-    sharded_task_durations,
-    workload_dataset,
-)
+from .datasets import workload_dataset
 
 __all__ = ["run"]
 
 
-def _collect_durations(shard) -> MassCountAccumulator:
-    """Map kernel: pool one shard's task durations."""
-    acc = MassCountAccumulator()
-    acc.add(shard["duration"])
-    return acc
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    backend = active_backend()
-    if backend.name == "sharded":
-        # Stream the duration column shard by shard; merging in shard
-        # order reassembles the exact in-memory sample, so every number
-        # below is byte-identical to the memory backend.
-        google_lengths = sharded_map_reduce(
-            sharded_task_durations(scale, seed, backend.shard_rows),
-            _collect_durations,
-        ).merged()
-    else:
-        google_lengths = np.asarray(data.google_tasks.duration)
+    google_lengths = np.asarray(data.google_tasks.duration)
     ag = data.grid_jobs_native["AuverGrid"]
     ag_lengths = np.asarray(ag["run_time"])
 

@@ -7,20 +7,12 @@ between diurnal bursts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..core.ecdf import ecdf
 from ..traces.convert import job_interarrival_times
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    grid_system_names,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import grid_system_names, workload_dataset
 
 __all__ = ["run", "CDF_POINTS"]
 
@@ -28,71 +20,16 @@ __all__ = ["run", "CDF_POINTS"]
 CDF_POINTS = (5, 10, 30, 60, 120, 300, 600, 1000, 2000)
 
 
-@dataclass
-class _GapState:
-    """Mergeable interarrival gaps over time-sorted submit shards.
-
-    Each shard contributes its internal ``np.diff`` plus its first/last
-    submit times; merging adjacent states inserts the one boundary gap
-    ``other.first - self.last``. Because the sharded jobs table is
-    sorted by submit time before spilling, concatenating the chunks in
-    shard order is elementwise identical to ``np.diff`` over the full
-    sorted column — so the ECDF, median, and mean match the memory
-    backend bit for bit.
-    """
-
-    first: float
-    last: float
-    count: int
-    chunks: list = field(default_factory=list)
-
-    def merge(self, other: "_GapState") -> "_GapState":
-        if other.first < self.last:
-            raise ValueError("gap states must merge in time order")
-        self.chunks.append(np.array([other.first - self.last]))
-        self.chunks.extend(other.chunks)
-        self.last = other.last
-        self.count += other.count
-        return self
-
-    def gaps(self) -> np.ndarray:
-        if self.count < 2:
-            return np.empty(0)
-        return np.concatenate(self.chunks) if self.chunks else np.empty(0)
-
-
-def _shard_gaps(shard) -> _GapState:
-    """Map kernel: interarrival gaps within one time-sorted shard."""
-    submit = np.sort(np.asarray(shard["submit_time"], dtype=np.float64))
-    return _GapState(
-        first=float(submit[0]),
-        last=float(submit[-1]),
-        count=int(submit.size),
-        chunks=[np.diff(submit)] if submit.size > 1 else [],
-    )
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
     systems = {"Google": data.google_jobs}
     systems.update({n: data.grid_jobs[n] for n in grid_system_names()})
 
-    backend = active_backend()
-    google_gaps: np.ndarray | None = None
-    if backend.name == "sharded":
-        state = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows), _shard_gaps
-        )
-        google_gaps = state.gaps() if state is not None else np.empty(0)
-
     rows = []
     medians: dict[str, float] = {}
     means: dict[str, float] = {}
     for name, jobs in systems.items():
-        if name == "Google" and google_gaps is not None:
-            gaps = google_gaps
-        else:
-            gaps = job_interarrival_times(jobs)
+        gaps = job_interarrival_times(jobs)
         cdf = ecdf(gaps)
         medians[name] = float(np.median(gaps))
         means[name] = float(gaps.mean())

@@ -11,15 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.ecdf import ecdf
-from ..core.kernels import ECDFAccumulator
 from ..core.usage import memory_usage_mb
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import workload_dataset
 
 __all__ = ["run", "CPU_POINTS", "MEM_POINTS_MB"]
 
@@ -30,55 +24,13 @@ _CPU_SYSTEMS = ("AuverGrid", "DAS-2")
 _MEM_SYSTEMS = ("AuverGrid", "SHARCNET", "DAS-2")
 
 
-class _UsageAccumulator:
-    """Mergeable Fig. 6 state: one ECDF per Google usage curve.
-
-    ``memory_usage_mb`` is elementwise, so applying it per shard and
-    pooling gives the same value multiset — and the ECDF state merges
-    exactly — so every finalized CDF is bit-identical to the in-memory
-    computation over the full columns.
-    """
-
-    def __init__(self) -> None:
-        self.cpu = ECDFAccumulator()
-        self.mem32 = ECDFAccumulator()
-        self.mem64 = ECDFAccumulator()
-
-    def merge(self, other: "_UsageAccumulator") -> "_UsageAccumulator":
-        self.cpu.merge(other.cpu)
-        self.mem32.merge(other.mem32)
-        self.mem64.merge(other.mem64)
-        return self
-
-
-def _collect_usage(shard) -> _UsageAccumulator:
-    """Map kernel: one shard's CPU and rescaled-memory usage."""
-    acc = _UsageAccumulator()
-    acc.cpu.add(np.asarray(shard["cpu_usage"]))
-    mem_norm = np.asarray(shard["mem_usage"])
-    acc.mem32.add(memory_usage_mb(mem_norm, 32.0))
-    acc.mem64.add(memory_usage_mb(mem_norm, 64.0))
-    return acc
-
-
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     data = workload_dataset(scale, seed)
-    backend = active_backend()
-
-    google_usage: _UsageAccumulator | None = None
-    if backend.name == "sharded":
-        google_usage = sharded_map_reduce(
-            sharded_google_jobs(scale, seed, backend.shard_rows),
-            _collect_usage,
-        )
 
     # -- Fig. 6(a): CPU usage over all processors -------------------------
     cpu_rows = []
     cpu_cdfs = {}
-    if google_usage is not None:
-        cpu_cdfs["Google"] = google_usage.cpu.finalize()
-    else:
-        cpu_cdfs["Google"] = ecdf(np.asarray(data.google_jobs["cpu_usage"]))
+    cpu_cdfs["Google"] = ecdf(np.asarray(data.google_jobs["cpu_usage"]))
     for name in _CPU_SYSTEMS:
         cpu_cdfs[name] = ecdf(np.asarray(data.grid_jobs[name]["cpu_usage"]))
     for name, cdf in cpu_cdfs.items():
@@ -87,15 +39,11 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     # -- Fig. 6(b): memory usage in MB ------------------------------------
     mem_rows = []
     mem_cdfs = {}
-    if google_usage is not None:
-        mem_cdfs["Google(MaxCap=32GB)"] = google_usage.mem32.finalize()
-        mem_cdfs["Google(MaxCap=64GB)"] = google_usage.mem64.finalize()
-    else:
-        google_mem_norm = np.asarray(data.google_jobs["mem_usage"])
-        for cap_gb in (32.0, 64.0):
-            mem_cdfs[f"Google(MaxCap={cap_gb:.0f}GB)"] = ecdf(
-                memory_usage_mb(google_mem_norm, cap_gb)
-            )
+    google_mem_norm = np.asarray(data.google_jobs["mem_usage"])
+    for cap_gb in (32.0, 64.0):
+        mem_cdfs[f"Google(MaxCap={cap_gb:.0f}GB)"] = ecdf(
+            memory_usage_mb(google_mem_norm, cap_gb)
+        )
     for name in _MEM_SYSTEMS:
         kb = np.asarray(data.grid_jobs_native[name]["used_memory"])
         mem_cdfs[name] = ecdf(kb / 1024.0)

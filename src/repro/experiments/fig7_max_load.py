@@ -8,119 +8,21 @@ distribution with its own spread.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.table import Table
-from ..hostload.maxload import MaxLoadDistribution, max_load_by_capacity
+from ..hostload.maxload import max_load_by_capacity
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    sharded_machine_usage,
-    sharded_map_reduce,
-    simulation_dataset,
-)
+from .datasets import simulation_dataset
 
 __all__ = ["run", "ATTRIBUTES"]
 
 ATTRIBUTES = ("cpu", "mem", "mem_assigned", "page_cache")
 
-#: Usage column backing each attribute (shard kernel side).
-_USAGE_COLUMN = {
-    "cpu": "cpu_usage",
-    "mem": "mem_usage",
-    "mem_assigned": "mem_assigned",
-    "page_cache": "page_cache",
-}
-
-#: Machines-table capacity column grouping each attribute (mirrors
-#: ``repro.hostload.maxload._CAPACITY_ATTR`` via the machines schema).
-_CAPACITY_COLUMN = {
-    "cpu": "cpu_capacity",
-    "mem": "mem_capacity",
-    "mem_assigned": "mem_capacity",
-    "page_cache": "page_cache_capacity",
-}
-
-
-def _machine_maxima(shard) -> dict[int, dict[str, float]]:
-    """Map kernel: per-machine max of each usage attribute in one shard.
-
-    The usage spill is machine-major and group-aligned, so every
-    machine's full series sits contiguously in exactly one shard;
-    ``np.maximum.reduceat`` over the run starts gives the same float
-    maxima as ``MachineLoadSeries.max_load`` (max is exact under any
-    grouping).
-    """
-    ids = np.asarray(shard["machine_id"])
-    starts = np.concatenate(
-        ([0], np.flatnonzero(ids[1:] != ids[:-1]) + 1)
-    )
-    maxima = {
-        attr: np.maximum.reduceat(np.asarray(shard[col]), starts)
-        for attr, col in _USAGE_COLUMN.items()
-    }
-    return {
-        int(mid): {attr: float(maxima[attr][k]) for attr in ATTRIBUTES}
-        for k, mid in enumerate(ids[starts].tolist())
-    }
-
-
-def _merge_maxima(left: dict, right: dict) -> dict:
-    left.update(right)
-    return left
-
-
-def _sharded_max_load_groups(
-    machines: Table, maxima: dict[int, dict[str, float]], attribute: str
-) -> dict[float, MaxLoadDistribution]:
-    """Rebuild Fig. 7's capacity groups from per-machine maxima.
-
-    Buckets in machines-table order with duplicate/missing machines
-    skipped — the same iteration :func:`max_load_by_capacity` performs
-    over the grouped series dict — so group membership, order, and
-    every float match the memory backend.
-    """
-    cap_col = _CAPACITY_COLUMN[attribute]
-    buckets: dict[float, list[float]] = {}
-    seen: set[int] = set()
-    for i, machine_id in enumerate(machines["machine_id"]):
-        mid = int(machine_id)
-        if mid in seen or mid not in maxima:
-            continue
-        seen.add(mid)
-        cap = round(float(machines[cap_col][i]), 6)
-        buckets.setdefault(cap, []).append(maxima[mid][attribute])
-    return {
-        cap: MaxLoadDistribution(
-            attribute=attribute, capacity=cap, max_loads=np.asarray(values)
-        )
-        for cap, values in sorted(buckets.items())
-    }
-
 
 def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
-    data = simulation_dataset(scale, seed)
-    backend = active_backend()
-    if backend.name == "sharded":
-        maxima = sharded_map_reduce(
-            sharded_machine_usage(scale, seed, backend.shard_rows),
-            _machine_maxima,
-            merge=_merge_maxima,
-        )
-        machines = data.result.machines
-
-        def groups_for(attribute: str) -> dict[float, MaxLoadDistribution]:
-            return _sharded_max_load_groups(machines, maxima or {}, attribute)
-
-    else:
-
-        def groups_for(attribute: str) -> dict[float, MaxLoadDistribution]:
-            return max_load_by_capacity(data.series, attribute)
-
+    series = simulation_dataset(scale, seed).series
     rows = []
     metrics: dict[str, object] = {}
     for attribute in ATTRIBUTES:
-        groups = groups_for(attribute)
+        groups = max_load_by_capacity(series, attribute)
         for cap, dist in groups.items():
             rows.append(
                 (
@@ -131,19 +33,19 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
                     round(dist.fraction_at_capacity(tolerance=0.05), 3),
                 )
             )
-    cpu_groups = groups_for("cpu")
+    cpu_groups = max_load_by_capacity(series, "cpu")
     caps = sorted(cpu_groups)
     if caps:
         low = cpu_groups[caps[0]]
         metrics["cpu_lowcap_frac_at_capacity"] = round(
             low.fraction_at_capacity(tolerance=0.05), 3
         )
-    mem_groups = groups_for("mem")
+    mem_groups = max_load_by_capacity(series, "mem")
     mem_rel = [d.mean_relative() for d in mem_groups.values() if d.num_machines]
     metrics["mem_mean_relative_max"] = round(
         sum(mem_rel) / len(mem_rel), 3
     ) if mem_rel else 0.0
-    asg_groups = groups_for("mem_assigned")
+    asg_groups = max_load_by_capacity(series, "mem_assigned")
     asg_rel = [d.mean_relative() for d in asg_groups.values() if d.num_machines]
     metrics["mem_assigned_mean_relative_max"] = round(
         sum(asg_rel) / len(asg_rel), 3

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import sys
 from collections.abc import Sequence
@@ -44,13 +43,11 @@ from pathlib import Path
 from ..core.timing import Timings, render_timings
 from .datasets import (
     SCALES,
-    BackendSpec,
-    configure_backend,
     configure_cache,
     default_cache_dir,
     reset_dataset_stats,
 )
-from .faults import PLAN_ENV, FaultPlan, plan_from_env
+from .faults import FaultPlan, plan_from_env
 from .parallel import run_experiments
 from .registry import EXPERIMENTS
 from .supervisor import (
@@ -180,53 +177,6 @@ def _parser() -> argparse.ArgumentParser:
         help="disable the on-disk dataset cache (and run journaling)",
     )
     parser.add_argument(
-        "--backend",
-        choices=("memory", "sharded"),
-        default="memory",
-        help=(
-            "dataset backend: in-memory arrays, or out-of-core sharded "
-            "tables streamed by map-reduce kernels (byte-identical "
-            "output, bounded peak memory)"
-        ),
-    )
-    parser.add_argument(
-        "--shard-rows",
-        type=int,
-        default=1_000_000,
-        metavar="N",
-        help="rows per shard for --backend sharded (default: 1000000)",
-    )
-    parser.add_argument(
-        "--block-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "kill a sharded map-reduce block worker stuck longer than "
-            "this and retry it (default: no block timeout)"
-        ),
-    )
-    parser.add_argument(
-        "--block-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "extra attempts per crashed/timed-out map-reduce block "
-            "before it runs inline (default: 2)"
-        ),
-    )
-    parser.add_argument(
-        "--verify-shards",
-        choices=("none", "lazy", "full"),
-        default="lazy",
-        help=(
-            "shard digest verification: 'lazy' checks each shard on "
-            "first read, 'full' checks everything at open, 'none' "
-            "skips digests (structural checks always run)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
@@ -267,7 +217,7 @@ def _json_report(
             entry["error_kind"] = outcome.error_kind
         per_experiment.append(entry)
     # ru_maxrss is KiB on Linux; take the worst of this process and its
-    # reaped workers so a bounded-memory claim covers the whole tree.
+    # reaped workers so the figure covers the whole process tree.
     peak_rss_kb = max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
@@ -277,13 +227,6 @@ def _json_report(
         "seed": seed,
         "jobs": args.jobs,
         "run_id": run,
-        "backend": {
-            "name": args.backend,
-            "shard_rows": args.shard_rows,
-            "block_timeout": args.block_timeout,
-            "block_retries": args.block_retries,
-            "verify": args.verify_shards,
-        },
         "peak_rss_kb": int(peak_rss_kb),
         "cache": {
             "enabled": cache_dir is not None,
@@ -312,26 +255,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.shard_rows < 1:
-        print(
-            f"--shard-rows must be >= 1, got {args.shard_rows}",
-            file=sys.stderr,
-        )
-        return 2
     if args.retries < 0:
         print(f"--retries must be >= 0, got {args.retries}", file=sys.stderr)
-        return 2
-    if args.block_retries < 0:
-        print(
-            f"--block-retries must be >= 0, got {args.block_retries}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.block_timeout is not None and args.block_timeout <= 0:
-        print(
-            f"--block-timeout must be > 0, got {args.block_timeout}",
-            file=sys.stderr,
-        )
         return 2
     for name in ("timeout", "deadline"):
         value = getattr(args, name)
@@ -411,21 +336,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     configure_cache(cache_dir)
-    configure_backend(
-        BackendSpec(
-            name=args.backend,
-            shard_rows=args.shard_rows,
-            jobs=args.jobs,
-            block_timeout=args.block_timeout,
-            block_retries=args.block_retries,
-            verify=args.verify_shards,
-        )
-    )
-    if args.fault_plan is not None:
-        # Spawn-based map-reduce workers and spill hooks read the plan
-        # from the environment; export an explicit --fault-plan so the
-        # out-of-core fault kinds reach them too.
-        os.environ[PLAN_ENV] = args.fault_plan
     reset_dataset_stats()
 
     supervised = (

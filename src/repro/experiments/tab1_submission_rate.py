@@ -8,29 +8,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.fairness import HourlyCountsAccumulator, submission_rate_stats
+from ..core.fairness import submission_rate_stats
 from .base import ExperimentResult, ResultTable
-from .datasets import (
-    active_backend,
-    grid_system_names,
-    sharded_google_jobs,
-    sharded_map_reduce,
-    workload_dataset,
-)
+from .datasets import grid_system_names, workload_dataset
 
 __all__ = ["run", "PAPER_TABLE1"]
-
-
-def _hourly_counts(shard, horizon: float) -> HourlyCountsAccumulator:
-    """Map kernel: hourly submission bincount of one shard.
-
-    Integer partial counts over a fixed horizon merge exactly under any
-    sharding, so the finalized Table I row matches the in-memory
-    :func:`submission_rate_stats` bit for bit.
-    """
-    acc = HourlyCountsAccumulator(horizon)
-    acc.add(np.asarray(shard["submit_time"]))
-    return acc
 
 #: The paper's Table I, for side-by-side comparison.
 PAPER_TABLE1: dict[str, tuple[float, float, float, float]] = {
@@ -51,21 +33,12 @@ def run(scale: str = "paper", seed: int = 0) -> ExperimentResult:
     systems = {"Google": data.google_jobs}
     systems.update({n: data.grid_jobs[n] for n in grid_system_names()})
 
-    backend = active_backend()
     rows = []
     measured: dict[str, tuple[float, float, float, float]] = {}
     for name, jobs in systems.items():
-        if name == "Google" and backend.name == "sharded":
-            acc = sharded_map_reduce(
-                sharded_google_jobs(scale, seed, backend.shard_rows),
-                _hourly_counts,
-                args=(data.horizon,),
-            )
-            stats = acc.finalize()
-        else:
-            stats = submission_rate_stats(
-                np.asarray(jobs["submit_time"]), data.horizon
-            )
+        stats = submission_rate_stats(
+            np.asarray(jobs["submit_time"]), data.horizon
+        )
         measured[name] = (
             stats.max_per_hour,
             stats.avg_per_hour,

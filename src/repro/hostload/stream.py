@@ -184,8 +184,7 @@ class UsageGridAccumulator:
         grids merge deterministically for a *fixed* partition of tasks
         into grids, but partial float sums are not bit-identical across
         different partitions — callers needing byte-stable output must
-        keep the (chunking, jobs) layout fixed, as the experiment
-        backends do by using only exact accumulators.
+        keep the (chunking, jobs) layout fixed.
         """
         if (
             other.num_machines != self.num_machines

@@ -6,6 +6,11 @@ small test scale. Magnitudes are checked loosely where the small scale
 supports it; exact magnitudes are the benchmarks' job at paper scale.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -188,6 +193,26 @@ class TestRunnerCli:
         assert runner_main(["nope"]) == 2
         assert "unknown" in capsys.readouterr().err
 
+    def test_import_leaves_out_of_core_layer_unloaded(self):
+        # The experiments read in-memory datasets only; the shard and
+        # map-reduce layer serves the streaming path and must not creep
+        # back into the runner's import graph.
+        code = (
+            "import sys, repro.experiments.runner; "
+            "print(sorted(m for m in ('repro.core.shard', "
+            "'repro.core.mapreduce') if m in sys.modules))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
+
 
 class TestDatasets:
     def test_unknown_scale_rejected(self):
@@ -209,116 +234,3 @@ class TestDatasets:
         from repro.experiments.datasets import workload_dataset
 
         assert workload_dataset("small", 0) is workload_dataset("small", 0)
-
-
-class TestShardedBackend:
-    """--backend sharded must render byte-identically to in-memory."""
-
-    SHARDED_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig13", "tab1")
-
-    @pytest.fixture()
-    def sharded_backend(self):
-        from repro.experiments.datasets import BackendSpec, configure_backend
-
-        yield lambda **kw: configure_backend(
-            BackendSpec(name="sharded", **kw)
-        )
-        configure_backend(None)
-
-    def test_rendered_output_identical(self, results, sharded_backend):
-        sharded_backend(shard_rows=4096)
-        for exp_id in self.SHARDED_IDS:
-            rendered = run_experiment(exp_id, scale="small", seed=0).render()
-            assert rendered == results[exp_id].render(), exp_id
-
-    def test_spawn_pool_identical(self, results, sharded_backend):
-        sharded_backend(shard_rows=4096, jobs=2)
-        rendered = run_experiment("fig7", scale="small", seed=0).render()
-        assert rendered == results["fig7"].render()
-
-    def test_shard_size_invariant(self, results, sharded_backend):
-        for shard_rows in (1000, 30_000):
-            sharded_backend(shard_rows=shard_rows)
-            rendered = run_experiment("fig5", scale="small", seed=0).render()
-            assert rendered == results["fig5"].render(), shard_rows
-
-    def test_runner_cli_backend_flag(self, capsys):
-        assert (
-            runner_main(
-                [
-                    "fig4",
-                    "--scale",
-                    "small",
-                    "--no-cache",
-                    "--backend",
-                    "sharded",
-                    "--shard-rows",
-                    "5000",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Fig. 4" in out
-        from repro.experiments.datasets import configure_backend
-
-        configure_backend(None)
-
-
-class TestOutOfCoreChaos:
-    """Injected worker kill, shard corruption, and block hang must heal.
-
-    The acceptance property of the self-healing layer: under a fault
-    plan exercising every block fault kind, the sharded run's rendered
-    output is byte-identical to the clean in-memory run and the
-    recovery counters record what happened.
-    """
-
-    def test_fig7_chaos_identical_and_counted(self, results, monkeypatch):
-        import json
-
-        from repro.experiments.datasets import (
-            BackendSpec,
-            configure_backend,
-            dataset_stats,
-            reset_dataset_stats,
-        )
-        from repro.experiments.faults import PLAN_ENV
-
-        plan = [
-            # Attempt 1: the worker dies mid-block (respawn + retry).
-            {"experiment_id": "*", "kind": "kill-worker", "block": 0},
-            # Attempt 2: a shard is corrupted on disk (quarantine + heal).
-            # No block timeout: spawn startup dwarfs any short timeout at
-            # this scale and would degrade blocks to inline before the
-            # faults fire (the timeout path is covered in test_mapreduce).
-            {
-                "experiment_id": "*",
-                "kind": "corrupt-shard",
-                "block": 0,
-                "attempt": 2,
-                "shard": 0,
-            },
-        ]
-        monkeypatch.setenv(PLAN_ENV, json.dumps(plan))
-        configure_backend(
-            BackendSpec(
-                name="sharded",
-                shard_rows=1024,
-                jobs=2,
-                block_retries=3,
-            )
-        )
-        reset_dataset_stats()
-        try:
-            rendered = run_experiment("fig7", scale="small", seed=0).render()
-            stats = dataset_stats()
-        finally:
-            configure_backend(None)
-            reset_dataset_stats()
-        assert rendered == results["fig7"].render()
-        assert stats["mapreduce_crashes"] >= 1
-        assert stats["mapreduce_respawns"] >= 1
-        assert stats["mapreduce_retries"] >= 1
-        assert stats["shards_quarantined"] >= 1
-        assert stats["shards_rederived"] >= 1

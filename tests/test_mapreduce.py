@@ -5,9 +5,12 @@ experiments use, folding per-shard partials must reproduce the batch
 computation bit for bit, for any shard size and for the spawn pool.
 """
 
+import multiprocessing
 import os
 import signal
 from dataclasses import dataclass
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,9 @@ from repro.core.timing import Timings
 from repro.core.segments import LevelRunAccumulator, level_durations
 from repro.core.shard import write_table
 from repro.core.table import Table
+from repro.synth import sharded as synth_sharded
+from repro.synth.google_model import GoogleConfig
+from repro.synth.presets import DAY
 
 SHARD_SIZES = (1, 3, 7, 50, 1000)
 
@@ -209,27 +215,60 @@ class TestSpawnPool:
 
 @dataclass(frozen=True)
 class _KillOnce:
-    """SIGKILL the worker running the given block, first attempt only."""
+    """SIGKILL the worker running the given block on one attempt."""
 
     block: int
+    attempt: int = 1
 
     def __call__(self, root, block, attempt):
-        if block == self.block and attempt == 1:
+        if block == self.block and attempt == self.attempt:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
 @dataclass(frozen=True)
 class _HangOnce:
-    """Stall the given block's first attempt far past the block timeout."""
+    """Stall one attempt of the given block far past the block timeout."""
 
     block: int
     seconds: float = 60.0
+    attempt: int = 1
 
     def __call__(self, root, block, attempt):
-        if block == self.block and attempt == 1:
+        if block == self.block and attempt == self.attempt:
             import time
 
             time.sleep(self.seconds)
+
+
+@dataclass(frozen=True)
+class _CorruptOnce:
+    """Flip a data byte of one shard before one attempt of a block reads it.
+
+    Structural checks still pass; the worker's digest check fails, so
+    the parent sees an integrity failure and must heal the table.
+    """
+
+    block: int
+    shard: int
+    attempt: int = 1
+
+    def __call__(self, root, block, attempt):
+        if block == self.block and attempt == self.attempt:
+            victim = min((Path(root) / f"shard-{self.shard:05d}").glob("*.npy"))
+            data = bytearray(victim.read_bytes())
+            data[-1] ^= 0xFF
+            victim.write_bytes(bytes(data))
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """Run several injectors in order (each fires on its own attempt)."""
+
+    injectors: tuple
+
+    def __call__(self, root, block, attempt):
+        for inject in self.injectors:
+            inject(root, block, attempt)
 
 
 @dataclass(frozen=True)
@@ -407,3 +446,124 @@ class TestSupervision:
             MapReduceConfig(retries=-1)
         with pytest.raises(ValueError):
             MapReduceConfig(verify="paranoid")
+
+
+# -- chaos gate on the streaming path (synth.sharded + map_reduce) ----------
+
+#: A small two-day task stream spilled in ~10 shards over several
+#: generator chunks — the same path the 10x-paper run takes, scaled down.
+_STREAM = dict(
+    horizon=2 * DAY,
+    seed=5,
+    config=GoogleConfig(busy_window=None),
+    tasks_per_hour=200.0,
+    shard_rows=1000,
+    columns=("submit_time", "duration"),
+    chunk_tasks=1500,
+)
+#: Shard whose first column is on disk when the spilling child dies.
+_KILL_SHARD = 3
+
+
+class _KillingWriter(synth_sharded.ShardWriter):
+    """ShardWriter that SIGKILLs its process mid-shard (torn spill)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, on_event=self._die, **kwargs)
+
+    @staticmethod
+    def _die(event, index, resumed_shards):
+        if event == "column-written" and index == _KILL_SHARD:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _doomed_stream_spill(dest):
+    """Spawn-process entry: stream-spill until killed mid-shard."""
+    synth_sharded.ShardWriter = _KillingWriter
+    synth_sharded.shard_task_requests(dest, resume=True, **_STREAM)
+
+
+def _duration_ecdf_kernel(shard):
+    acc = ECDFAccumulator()
+    acc.add(np.asarray(shard["duration"]))
+    return acc
+
+
+class TestStreamingChaos:
+    """Kill, corrupt and hang the streaming path; the fold must not change.
+
+    A spilling process dies by SIGKILL mid-shard and the spill resumes
+    from its journal. The resumed table is then folded by the spawn pool
+    while block 0 is killed, has a shard corrupted on disk, and hangs
+    past its timeout, on successive attempts. The result must equal a
+    clean serial fold, and every recovery must be counted.
+    """
+
+    def test_killed_spill_resumes_and_chaotic_fold_heals(
+        self, tmp_path, monkeypatch
+    ):
+        dest = tmp_path / "trace"
+        proc = multiprocessing.get_context("spawn").Process(
+            target=_doomed_stream_spill, args=(dest,)
+        )
+        proc.start()
+        proc.join(120)
+        assert proc.exitcode == -signal.SIGKILL
+        assert not dest.exists()
+
+        writers = []
+
+        class _RecordingWriter(synth_sharded.ShardWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                writers.append(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(synth_sharded, "ShardWriter", _RecordingWriter)
+            table = synth_sharded.shard_task_requests(
+                dest, resume=True, **_STREAM
+            )
+        assert writers[0].resumed_shards >= 1
+        assert table.num_shards >= 8
+
+        healed = []
+
+        def heal(root, message):
+            fresh = synth_sharded.shard_task_requests(
+                tmp_path / f"heal{len(healed)}", **_STREAM
+            )
+            healed.append(root)
+            return str(fresh.root)
+
+        timings = Timings()
+        got = map_reduce(
+            table,
+            _duration_ecdf_kernel,
+            jobs=2,
+            config=MapReduceConfig(
+                timeout=5.0,
+                retries=4,
+                degrade_after=10,
+                straggler_factor=None,
+                poll_interval=0.02,
+                **_FAST,
+            ),
+            inject=_Chain(
+                (
+                    _KillOnce(block=0, attempt=1),
+                    _CorruptOnce(block=0, shard=0, attempt=2),
+                    _HangOnce(block=0, attempt=3),
+                )
+            ),
+            heal=heal,
+            timings=timings,
+        ).finalize()
+
+        clean = synth_sharded.shard_task_requests(tmp_path / "clean", **_STREAM)
+        want = map_reduce(clean, _duration_ecdf_kernel).finalize()
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got.probabilities, want.probabilities)
+        assert timings.counters["mapreduce_crashes"] >= 1
+        assert timings.counters["mapreduce_retries"] >= 1
+        assert timings.counters["mapreduce_block_timeouts"] >= 1
+        assert healed
