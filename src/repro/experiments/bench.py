@@ -24,6 +24,9 @@ Entry schema (one JSON object per benchmark x scale)::
     {"name": ..., "scale": ..., "wall_s": ..., "cpu_s": ...,
      "peak_rss_kb": ..., "tasks_per_s": ..., "speedup": ...}
 
+``sim_drain`` entries add ``ckernel`` (did the compiled simulator
+kernel run) and ``ckernel_refusal`` (why not, else null).
+
 ``peak_rss_kb`` is the process high-water mark after the entry ran
 (``getrusage``; monotone across entries — the paper-pipeline bound is
 its value on a fresh run). ``speedup`` is scalar wall over vectorized
@@ -65,6 +68,7 @@ from ..hostload.levels import (
 )
 from ..hostload.series import _all_machine_series_scalar, grouped_machine_series
 from ..hostload.stream import UsageGridAccumulator
+from ..sim import _ckernel
 from ..sim.cluster import ClusterSimulator, SimConfig
 from ..sim.monitor import MACHINE_USAGE_SCHEMA
 from ..synth.google_model import (
@@ -88,8 +92,8 @@ SNAPSHOT_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 #: Regression thresholds (see module docstring).
 SPEEDUP_RETENTION = 0.8
 SPEEDUP_GRACE_FLOOR = 5.0
-#: Baselines below this claim no real speedup (the batched event drain
-#: hovers near 1x) — there the ratio is all measurement noise, so the
+#: Baselines below this claim no real speedup (the sharded reductions
+#: sit below 1x) — there the ratio is all measurement noise, so the
 #: retention check does not apply.
 SPEEDUP_CHECK_MIN = 1.5
 WALL_TOLERANCE = 1.2
@@ -115,8 +119,8 @@ _PIPELINES = {
     "paper": (12_500, 30 * DAY, 25_000_000.0 / (30 * DAY / HOUR)),
 }
 
-#: Event-drain sim sizes: (machines, horizon_s, tasks/hour). Kept
-#: moderate so the scalar (unbatched) pair stays affordable everywhere.
+#: Simulator drain sizes: (machines, horizon_s, tasks/hour). Kept
+#: moderate so the scalar golden run stays affordable everywhere.
 _DRAIN_SIMS = {
     "small": (16, 2 * DAY, 220.0),
     "medium": (32, 4 * DAY, 390.0),
@@ -312,43 +316,13 @@ def _bench_mass_count(scale: str, seed: int, series: dict) -> dict[str, object]:
     return _entry("mass_count_accumulation", scale, wall, cpu, tasks=rows)
 
 
-def _bench_event_drain(scale: str, seed: int) -> dict[str, object]:
-    n_machines, horizon, tasks_per_hour = _DRAIN_SIMS[scale]
-    rng = np.random.default_rng(seed)
-    machines = generate_machines(n_machines, rng)
-    requests = generate_task_requests(
-        horizon,
-        seed=seed + 1,
-        config=GoogleConfig(busy_window=None),
-        tasks_per_hour=tasks_per_hour,
-    )
-
-    def run(batched: bool):
-        # Pinned to the scalar engine: this entry tracks the batched
-        # pop_batch drain against the one-event-at-a-time scalar loop,
-        # not the SoA engine (that comparison is ``sim_drain``).
-        sim = ClusterSimulator(machines, SimConfig(), seed=seed + 2)
-        return sim.run(
-            requests, horizon, batched_drain=batched, engine="scalar"
-        )
-
-    _, wall, cpu = _timed(lambda: run(True))
-    _, scalar_wall, _ = _timed(lambda: run(False))
-    return _entry(
-        "event_drain",
-        scale,
-        wall,
-        cpu,
-        tasks=len(requests),
-        scalar_wall_s=scalar_wall,
-    )
-
-
 def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
-    """SoA engine (compiled hot loop when available) vs scalar golden.
+    """Default engine (the C kernel when it loads) vs scalar golden.
 
-    Same workloads as ``event_drain``; the speedup column is the whole
-    point — the 0.8x retention gate on it keeps the fast engine fast.
+    The speedup column is the whole point — the 0.8x retention gate on
+    it keeps the fast engine fast. ``SimConfig()`` is always
+    kernel-eligible, so ``ckernel`` records whether the kernel ran and
+    ``ckernel_refusal`` why not.
     """
     n_machines, horizon, tasks_per_hour = _DRAIN_SIMS[scale]
     rng = np.random.default_rng(seed)
@@ -364,15 +338,15 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
         sim = ClusterSimulator(machines, SimConfig(), seed=seed + 2)
         return sim.run(requests, horizon, engine=engine)
 
-    result, wall, cpu = _timed(lambda: run("soa"))
+    result, wall, cpu = _timed(lambda: run("auto"))
     scalar_wall = None
     if scale not in _SCALAR_SKIP_SCALES:
         scalar_result, scalar_wall, _ = _timed(lambda: run("scalar"))
         if scalar_result.task_events != result.task_events:
             raise AssertionError(
-                "sim_drain: SoA engine diverged from scalar golden run"
+                "sim_drain: default engine diverged from scalar golden run"
             )
-    return _entry(
+    entry = _entry(
         "sim_drain",
         scale,
         wall,
@@ -380,6 +354,9 @@ def _bench_sim_drain(scale: str, seed: int) -> dict[str, object]:
         tasks=int(result.counts["scheduled"]),
         scalar_wall_s=scalar_wall,
     )
+    entry["ckernel"] = _ckernel.load() is not None
+    entry["ckernel_refusal"] = _ckernel.refusal()
+    return entry
 
 
 def _bench_chunked_generation(scale: str, seed: int) -> dict[str, object]:
@@ -985,16 +962,12 @@ def run_benchmarks(
             if want("mass_count_accumulation"):
                 entries.append(_bench_mass_count(scale, seed, shared["series"]))
             del shared
-        if want("event_drain"):
-            entry = _bench_event_drain(scale, seed)
-            entries.append(entry)
-            log(f"  event_drain [{scale}] {entry['wall_s']}s "
-                f"speedup={entry['speedup']}")
         if want("sim_drain"):
             entry = _bench_sim_drain(scale, seed)
             entries.append(entry)
             log(f"  sim_drain [{scale}] {entry['wall_s']}s "
-                f"tasks={entry['tasks_per_s']}/s speedup={entry['speedup']}")
+                f"tasks={entry['tasks_per_s']}/s speedup={entry['speedup']} "
+                f"ckernel={entry['ckernel']}")
         if want("chunked_generation"):
             entries.append(_bench_chunked_generation(scale, seed))
         if want("hostload_pipeline"):

@@ -3,7 +3,7 @@
 from .churn import ChurnModel, MachineOutage, sample_outages
 from .cluster import ENGINES, ClusterSimulator, SimConfig, SimResult
 from .constraints import Constraint, ConstraintModel, generate_attribute_matrix
-from .engine import CalendarQueue, EventQueue
+from .engine import EventQueue
 from .failures import FailureModel
 from .job import jobs_from_events
 from .machine import FleetState
@@ -13,18 +13,11 @@ from .monitor import (
     MonitorConfig,
     UsageMonitor,
 )
-from .scheduler import (
-    PLACEMENT_POLICIES,
-    PendingQueue,
-    choose_machine,
-    choose_machine_columns,
-)
-from .soa import run_soa
+from .scheduler import PLACEMENT_POLICIES, PendingQueue, choose_machine
 from .task import SimTask, TaskColumns
 
 __all__ = [
     "CLUSTER_SERIES_SCHEMA",
-    "CalendarQueue",
     "ChurnModel",
     "ClusterSimulator",
     "Constraint",
@@ -44,9 +37,7 @@ __all__ = [
     "TaskColumns",
     "UsageMonitor",
     "choose_machine",
-    "choose_machine_columns",
     "generate_attribute_matrix",
     "jobs_from_events",
-    "run_soa",
     "sample_outages",
 ]

@@ -1,32 +1,34 @@
-"""Optional compiled hot loop for the SoA engine (cffi + gcc).
+"""Compiled hot loop for :class:`~repro.sim.cluster.ClusterSimulator`.
 
-The pure-Python SoA engine in :mod:`repro.sim.soa` is the portable
-fast path; this module compiles ``_kernel.c`` — a literal C
-transcription of the same event loop — when a C compiler and ``cffi``
-are available, for another order of magnitude. Everything is gated:
+The scalar loop in :mod:`repro.sim.cluster` is the executable spec and
+the universal fallback; this module compiles ``_kernel.c`` — a literal
+C transcription of the same event loop — when a C compiler and
+``cffi`` are available, for well over an order of magnitude. Everything
+is gated:
 
 * Build failures, a missing compiler, or a missing ``cffi`` simply
-  disable the kernel (``load()`` returns None) and the Python engine
-  runs instead. Set ``REPRO_SIM_PURE_PYTHON=1`` to force that off
-  switch.
-* The kernel reimplements PCG64 (XSL-RR 128/64) for its scalar
-  uniform draws. ``load()`` verifies the C stream against
-  ``numpy.random.Generator.random`` bit for bit before accepting the
-  build — if NumPy ever changed its PCG64, the kernel would refuse
-  itself rather than silently diverge.
+  disable the kernel (``load()`` returns None, :func:`refusal` says
+  why) and the scalar loop runs instead.
+* The kernel reimplements PCG64 (XSL-RR 128/64) for its scalar draws:
+  uniform doubles and ``Generator.choice``'s bounded index.
+  ``load()`` verifies both against ``numpy.random.Generator`` bit for
+  bit before accepting the build — if NumPy ever changed its PCG64 or
+  its bounded-integer algorithm, the kernel would refuse itself rather
+  than silently diverge.
 * :func:`try_run` returns None for configurations the kernel does not
-  cover (non-PCG64 bit generators, the ``random`` placement policy,
-  ``FailureModel`` subclasses), falling back to the Python engine.
+  cover (non-PCG64 bit generators, ``FailureModel`` subclasses, more
+  than eight re-fate outcomes), falling back to the scalar loop.
 
 Builds are cached under ``$XDG_CACHE_HOME/repro-ckernel/<hash>`` keyed
 by the C source, so the compile cost is paid once per source change.
 
 The monitor stays in Python: the kernel exits at every tick, the PCG64
-position is written back into the real bit generator (the scalar draws
-consumed exactly one uint64 each, so the position is exact), the
-monitor draws its vectorized noise, and the possibly-advanced state is
-handed back to C. The fleet arrays are shared buffers — C writes them
-in place, the monitor reads them directly, nothing is synced.
+position and its half-word cache (``has_uint32``/``uinteger``, which
+``choice`` and constraint sampling's ``integers`` use) are written back
+into the real bit generator, the monitor draws its vectorized noise,
+and the possibly-advanced state is handed back to C. The fleet arrays
+are shared buffers — C writes them in place, the monitor reads them
+directly, nothing is synced.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ from .churn import sample_outages
 from .failures import FailureModel
 from .machine import FleetState
 from .monitor import UsageMonitor
+from .scheduler import PLACEMENT_POLICIES
 from .task import TaskColumns
 
-__all__ = ["load", "try_run"]
+__all__ = ["load", "refusal", "try_run"]
 
 _CDEF = """
 typedef struct {
     uint64_t pcg_s_hi, pcg_s_lo, pcg_i_hi, pcg_i_lo;
+    int32_t pcg_has_uint32;
+    uint32_t pcg_uinteger;
     double *log_time;
     int64_t *log_row;
     int8_t *log_etype;
@@ -85,14 +90,15 @@ int sim_run(SimState *s);
 int64_t sim_still_running(SimState *s);
 void pcg_fill(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo,
               double *out, int n);
+void pcg_bounded_fill(uint64_t *st, uint32_t *cache, uint32_t n,
+                      uint32_t *out, int count);
 """
 
 _MASK64 = (1 << 64) - 1
 
-#: Placement policies the kernel implements (code order matters).
-_POLICIES = ("balance", "best_fit", "first_fit")
-
-_cached: tuple | None = None
+#: ``(kernel, refusal)`` once :func:`load` has run: the (ffi, lib) pair
+#: or None, and why it was refused (None when it loaded).
+_loaded: tuple | None = None
 
 
 def _build():
@@ -125,9 +131,14 @@ def _build():
 
 
 def _selftest(ffi, lib) -> bool:
-    """Verify the C PCG64 against NumPy's, bit for bit."""
-    # Known-answer test: the seed is deliberately a fixed constant so
-    # the C stream is compared against one fixed NumPy reference.
+    """Verify the C PCG64 draws against NumPy's, bit for bit.
+
+    Covers ``Generator.random`` and the bounded index of
+    ``Generator.choice`` — the drawn values and the final bit-generator
+    state, half-word cache included. The seeds are deliberately fixed
+    constants: each C stream is compared against one fixed NumPy
+    reference.
+    """
     bitgen = np.random.PCG64(1234567)  # reprolint: disable=REP102
     state = bitgen.state["state"]
     out = ffi.new("double[]", 64)
@@ -140,24 +151,66 @@ def _selftest(ffi, lib) -> bool:
         64,
     )
     reference = np.random.Generator(bitgen).random(64)  # reprolint: disable=REP102
-    return list(out) == reference.tolist()
+    if list(out) != reference.tolist():
+        return False
+    # n == 2**31 + 1 rejects about half its draws. choice(n) draws
+    # exactly like choice(np.arange(n)) without materializing the range;
+    # ``primed`` enters with the half-word cache set, as it is after
+    # constraint sampling's ``integers`` call.
+    for n, primed in ((1, True), (2, False), (7, True), (1000, False),
+                      (2**31 + 1, True)):
+        gen = np.random.Generator(np.random.PCG64(n))
+        if primed:
+            gen.integers(0, 7)
+        before = gen.bit_generator.state
+        st = ffi.new(
+            "uint64_t[4]",
+            [
+                before["state"]["state"] >> 64,
+                before["state"]["state"] & _MASK64,
+                before["state"]["inc"] >> 64,
+                before["state"]["inc"] & _MASK64,
+            ],
+        )
+        cache = ffi.new(
+            "uint32_t[2]", [before["has_uint32"], before["uinteger"]]
+        )
+        drawn = ffi.new("uint32_t[]", 128)
+        lib.pcg_bounded_fill(st, cache, n, drawn, 128)
+        reference = [int(gen.choice(n)) for _ in range(128)]
+        after = gen.bit_generator.state
+        if (
+            list(drawn) != reference
+            or (st[0] << 64 | st[1]) != after["state"]["state"]
+            or (cache[0], cache[1]) != (after["has_uint32"], after["uinteger"])
+        ):
+            return False
+    return True
 
 
 def load():
     """The (ffi, lib) pair, or None when the kernel is unavailable."""
-    global _cached
-    if _cached is not None:
-        return _cached[0]
-    if os.environ.get("REPRO_SIM_PURE_PYTHON"):
-        _cached = (None,)
-        return None
-    try:
-        ffi, lib = _build()
-        ok = _selftest(ffi, lib)
-    except Exception:
-        ok = False
-    _cached = ((ffi, lib),) if ok else (None,)
-    return _cached[0]
+    global _loaded
+    if _loaded is None:
+        try:
+            ffi, lib = _build()
+            ok = _selftest(ffi, lib)
+        except Exception as exc:  # no cffi, no compiler, failed compile
+            _loaded = (None, f"{type(exc).__name__}: {exc}")
+        else:
+            _loaded = (
+                ((ffi, lib), None)
+                if ok
+                else (None, "selftest mismatch: C PCG64 draws differ "
+                            "from numpy.random.Generator")
+            )
+    return _loaded[0]
+
+
+def refusal() -> str | None:
+    """Why :func:`load` refused the kernel; None when it loaded."""
+    load()
+    return _loaded[1]
 
 
 def _f8(arr: np.ndarray, ffi):
@@ -167,12 +220,10 @@ def _f8(arr: np.ndarray, ffi):
 def try_run(sim, requests, horizon: float):
     """Run on the C kernel, or return None when not eligible/available.
 
-    The caller (:func:`repro.sim.soa.run_soa`) has already validated
-    ``horizon`` and the failure model type.
+    The caller (:meth:`~repro.sim.cluster.ClusterSimulator.run`) has
+    already validated ``horizon``. None leaves ``sim.rng`` untouched.
     """
     config = sim.config
-    if config.placement not in _POLICIES:
-        return None
     if type(config.failures) is not FailureModel:
         return None
     rng = sim.rng
@@ -205,7 +256,7 @@ def try_run(sim, requests, horizon: float):
     page_cache = np.ascontiguousarray(cols.page_cache, dtype=np.float64)
 
     # Constraint sampling draws from the Python generator in task order,
-    # exactly like the other engines, before any simulation draw.
+    # exactly like the scalar engine, before any simulation draw.
     mask_idx = np.full(n_tasks, -1, dtype=np.int32)
     mask_rows: list[np.ndarray] = []
     if config.constraints is not None:
@@ -239,7 +290,7 @@ def try_run(sim, requests, horizon: float):
     state = lib.sim_new(
         n_tasks,
         n_m,
-        _POLICIES.index(config.placement),
+        PLACEMENT_POLICIES.index(config.placement),
         1 if config.preemption else 0,
         horizon,
         config.monitor.sample_period,
@@ -302,20 +353,28 @@ def try_run(sim, requests, horizon: float):
                     lib.sim_push_churn(state, outage.end, 1, outage.machine)
 
         bitgen = rng.bit_generator
-        pcg = bitgen.state["state"]
-        state.pcg_s_hi = pcg["state"] >> 64
-        state.pcg_s_lo = pcg["state"] & _MASK64
-        state.pcg_i_hi = pcg["inc"] >> 64
-        state.pcg_i_lo = pcg["inc"] & _MASK64
+        inc = bitgen.state["state"]["inc"]
+        state.pcg_i_hi = inc >> 64
+        state.pcg_i_lo = inc & _MASK64
 
-        period = config.monitor.sample_period
+        def _take_rng() -> None:
+            d = bitgen.state
+            state.pcg_s_hi = d["state"]["state"] >> 64
+            state.pcg_s_lo = d["state"]["state"] & _MASK64
+            state.pcg_has_uint32 = d["has_uint32"]
+            state.pcg_uinteger = d["uinteger"]
 
         def _give_back_rng() -> None:
             d = bitgen.state
             d["state"]["state"] = (
                 (int(state.pcg_s_hi) << 64) | int(state.pcg_s_lo)
             )
+            d["has_uint32"] = int(state.pcg_has_uint32)
+            d["uinteger"] = int(state.pcg_uinteger)
             bitgen.state = d
+
+        _take_rng()
+        period = config.monitor.sample_period
 
         while True:
             code = lib.sim_run(state)
@@ -328,9 +387,7 @@ def try_run(sim, requests, horizon: float):
                     int(state.n_finished),
                     int(state.n_abnormal),
                 )
-                advanced = bitgen.state["state"]["state"]
-                state.pcg_s_hi = advanced >> 64
-                state.pcg_s_lo = advanced & _MASK64
+                _take_rng()
                 if time + period <= horizon:
                     lib.sim_push_tick(state, time + period)
                 continue

@@ -1,31 +1,35 @@
-/* C hot loop for the SoA simulator engine (see soa.py / _ckernel.py).
+/* C hot loop for the cluster simulator (driven by _ckernel.py).
  *
- * Replicates the pure-Python SoA event loop decision for decision and
- * draw for draw, so the results are byte-identical to both the Python
- * SoA engine and the scalar golden reference:
+ * Replicates the scalar event loop in cluster.py decision for decision
+ * and draw for draw, so the results are byte-identical to that golden
+ * reference:
  *
  *   - All fleet accounting is IEEE-754 double arithmetic transcribed
  *     literally (same expressions, same order, same clamps), and the
  *     fleet arrays are the caller's NumPy buffers written in place.
  *   - Placement is the literal masked first-argmax/argmin: a strict
  *     comparison keeps the first maximum, matching NumPy's argmax
- *     tie-break; scores are computed with the same division.
+ *     tie-break; scores are computed with the same division. The
+ *     random policy draws Generator.choice's bounded index over the
+ *     eligible machines in index order.
  *   - Randomness is an exact PCG64 (XSL-RR 128/64) reimplementation:
  *     doubles are (next_uint64 >> 11) * 2^-53, one uint64 per draw,
  *     identical to numpy.random.Generator.random() on a PCG64 bit
- *     generator. The Python glue verifies this bit for bit at load
- *     time and refuses the kernel on any mismatch.
+ *     generator; bounded indices are NumPy's 32-bit Lemire rejection
+ *     over next_uint32, including its half-word cache. The Python glue
+ *     verifies both bit for bit at load time and refuses the kernel on
+ *     any mismatch.
  *   - The event queue is a binary heap ordered by (time, seq) with
  *     seq assigned in push order; any correct priority queue over
- *     that total order pops the exact sequence the Python engines do.
+ *     that total order pops the exact sequence the scalar engine does.
  *   - Per-machine running-task registries are intrusive linked lists
  *     traversed in insertion order, matching dict iteration order in
- *     the Python engines; preemption sorts are stable.
+ *     the scalar engine; preemption sorts are stable.
  *
  * The kernel returns to Python at every monitor tick (the monitor
  * draws vectorized noise from the real NumPy generator) and at the
- * end of the run; the PCG64 position is handed back and forth through
- * the SimState fields.
+ * end of the run; the PCG64 position and half-word cache are handed
+ * back and forth through the SimState fields.
  */
 
 #include <stdint.h>
@@ -40,6 +44,8 @@ typedef unsigned __int128 u128;
 typedef struct {
     u128 state;
     u128 inc;
+    int32_t has_uint32; /* half-word cache, as in numpy's pcg64_state */
+    uint32_t uinteger;
 } pcg64_t;
 
 static inline uint64_t pcg64_next(pcg64_t *r)
@@ -57,6 +63,39 @@ static inline double pcg64_double(pcg64_t *r)
     return (double)(pcg64_next(r) >> 11) * (1.0 / 9007199254740992.0);
 }
 
+/* numpy's pcg64_next32: the cached high half first, else a fresh
+ * uint64 whose low half is returned and high half cached. */
+static inline uint32_t pcg64_next32(pcg64_t *r)
+{
+    if (r->has_uint32) {
+        r->has_uint32 = 0;
+        return r->uinteger;
+    }
+    uint64_t next = pcg64_next(r);
+    r->has_uint32 = 1;
+    r->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* The index Generator.choice(a) picks for len(a) == n, 0 < n < 2^32:
+ * numpy's buffered_bounded_lemire_uint32 with rng = n - 1, which draws
+ * nothing when n == 1. */
+static inline uint32_t pcg64_bounded(pcg64_t *r, uint32_t n)
+{
+    if (n == 1)
+        return 0;
+    uint64_t m = (uint64_t)pcg64_next32(r) * n;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < n) {
+        uint32_t threshold = (uint32_t)(-n) % n;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg64_next32(r) * n;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
 /* Self-test hook: fill `out` with doubles from the given 128-bit state. */
 void pcg_fill(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo,
               double *out, int n)
@@ -66,6 +105,25 @@ void pcg_fill(uint64_t s_hi, uint64_t s_lo, uint64_t i_hi, uint64_t i_lo,
     r.inc = ((u128)i_hi << 64) | i_lo;
     for (int i = 0; i < n; i++)
         out[i] = pcg64_double(&r);
+}
+
+/* Self-test hook: `count` bounded indices in [0, n) from the state
+ * st = {s_hi, s_lo, i_hi, i_lo} and half-word cache = {has_uint32,
+ * uinteger}; the advanced state and cache are written back. */
+void pcg_bounded_fill(uint64_t *st, uint32_t *cache, uint32_t n,
+                      uint32_t *out, int count)
+{
+    pcg64_t r;
+    r.state = ((u128)st[0] << 64) | st[1];
+    r.inc = ((u128)st[2] << 64) | st[3];
+    r.has_uint32 = (int32_t)cache[0];
+    r.uinteger = cache[1];
+    for (int i = 0; i < count; i++)
+        out[i] = pcg64_bounded(&r, n);
+    st[0] = (uint64_t)(r.state >> 64);
+    st[1] = (uint64_t)r.state;
+    cache[0] = (uint32_t)r.has_uint32;
+    cache[1] = r.uinteger;
 }
 
 /* ---- event/task constants (mirror repro.traces.schema) ----------------- */
@@ -109,7 +167,9 @@ typedef struct {
 
 typedef struct {
     /* config */
-    int32_t n_tasks, n_m, policy; /* 0=balance 1=best_fit 2=first_fit */
+    int32_t n_tasks, n_m;
+    int32_t policy; /* index into PLACEMENT_POLICIES: 0=balance 1=best_fit
+                       2=first_fit 3=random */
     int32_t preemption;
     double horizon, period;
     double resubmit_prob;
@@ -117,6 +177,8 @@ typedef struct {
     int32_t n_refate;
     /* rng position (128-bit state split in halves; inc is constant) */
     uint64_t pcg_s_hi, pcg_s_lo, pcg_i_hi, pcg_i_lo;
+    int32_t pcg_has_uint32;
+    uint32_t pcg_uinteger;
     /* immutable task columns (borrowed NumPy buffers) */
     double *submit_time;
     int16_t *priority;
@@ -165,6 +227,7 @@ typedef struct {
     int32_t *ord, *ord_tmp; /* n_m */
     double *ordkey;         /* n_m */
     int32_t *lower;         /* n_tasks */
+    int32_t *cand;          /* n_m: random placement's eligible machines */
 } SimState;
 
 /* ---- event heap, ordered by (time, seq) -------------------------------- */
@@ -361,7 +424,7 @@ static void fleet_stop(SimState *s, int32_t m, int32_t row)
 
 /* ---- placement --------------------------------------------------------- */
 
-static int32_t place(SimState *s, int32_t row)
+static int32_t place(SimState *s, pcg64_t *rng, int32_t row)
 {
     double cr = s->cpu_req[row], mr = s->mem_req[row];
     int32_t n_m = s->n_m;
@@ -392,18 +455,25 @@ static int32_t place(SimState *s, int32_t row)
                 }
             }
         }
-    } else { /* first_fit */
+    } else if (s->policy == 2) { /* first_fit */
         for (int32_t m = 0; m < n_m; m++) {
             if (fc[m] >= cr && fm[m] >= mr && av[m] && (!mask || mask[m])) {
                 best = m;
                 break;
             }
         }
+    } else { /* random: rng.choice(np.flatnonzero(eligible)) */
+        uint32_t n = 0;
+        for (int32_t m = 0; m < n_m; m++)
+            if (fc[m] >= cr && fm[m] >= mr && av[m] && (!mask || mask[m]))
+                s->cand[n++] = m;
+        if (n)
+            best = s->cand[pcg64_bounded(rng, n)];
     }
     return best;
 }
 
-/* ---- draws (mirror soa._DoubleStream consumers) ------------------------ */
+/* ---- failure-model draws (FailureModel.resubmits / redraw_fate) ------- */
 
 static inline int8_t refate_draw(SimState *s, pcg64_t *rng)
 {
@@ -568,7 +638,7 @@ static int32_t find_preemption(SimState *s, int32_t row, int32_t *n_victims)
 
 static int try_place(SimState *s, pcg64_t *rng, int32_t row, double time)
 {
-    int32_t m = place(s, row);
+    int32_t m = place(s, rng, row);
     if (m >= 0) {
         task_start(s, rng, row, m, time);
         return 1;
@@ -590,7 +660,7 @@ static void drain_pending(SimState *s, pcg64_t *rng, double time)
 {
     while (s->pend_n) {
         int32_t head = s->pend[0].row;
-        int32_t m = place(s, head);
+        int32_t m = place(s, rng, head);
         if (m < 0)
             break;
         pend_pop(s);
@@ -683,6 +753,7 @@ SimState *sim_new(int32_t n_tasks, int32_t n_m, int32_t policy,
     s->ord_tmp = (int32_t *)malloc((size_t)n_m * sizeof(int32_t));
     s->ordkey = (double *)malloc((size_t)n_m * sizeof(double));
     s->lower = (int32_t *)malloc((size_t)(n_tasks ? n_tasks : 1) * sizeof(int32_t));
+    s->cand = (int32_t *)malloc((size_t)n_m * sizeof(int32_t));
     return s;
 }
 
@@ -735,6 +806,7 @@ void sim_free(SimState *s)
     free(s->ord_tmp);
     free(s->ordkey);
     free(s->lower);
+    free(s->cand);
     free(s);
 }
 
@@ -753,6 +825,8 @@ int sim_run(SimState *s)
     pcg64_t rng;
     rng.state = ((u128)s->pcg_s_hi << 64) | s->pcg_s_lo;
     rng.inc = ((u128)s->pcg_i_hi << 64) | s->pcg_i_lo;
+    rng.has_uint32 = s->pcg_has_uint32;
+    rng.uinteger = s->pcg_uinteger;
     int result = EXIT_DONE;
 
     while (1) {
@@ -762,7 +836,7 @@ int sim_run(SimState *s)
                         : INFINITY;
         if (qt == INFINITY && at == INFINITY)
             break;
-        if (at < qt) { /* ties go to the queue, like the Python engines */
+        if (at < qt) { /* ties go to the queue, like the scalar engine */
             int32_t row = s->next_arrival++;
             if (at > s->horizon)
                 break;
@@ -843,5 +917,7 @@ int sim_run(SimState *s)
 
     s->pcg_s_hi = (uint64_t)(rng.state >> 64);
     s->pcg_s_lo = (uint64_t)rng.state;
+    s->pcg_has_uint32 = rng.has_uint32;
+    s->pcg_uinteger = rng.uinteger;
     return result;
 }

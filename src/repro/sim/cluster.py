@@ -22,6 +22,7 @@ import numpy as np
 from ..synth.google_model import TaskRequests
 from ..traces.schema import TASK_EVENT_SCHEMA, TaskEvent, TaskState, priority_band_array
 from ..core.table import Table
+from . import _ckernel
 from .churn import ChurnModel, sample_outages
 from .constraints import ConstraintModel
 from .engine import COMPLETE, MACHINE_DOWN, MACHINE_UP, TICK, EventQueue
@@ -40,15 +41,12 @@ _COMPLETE, _TICK, _MACHINE_DOWN, _MACHINE_UP = (
     MACHINE_UP,
 )
 
-#: Engines accepted by :meth:`ClusterSimulator.run`. ``auto`` picks the
-#: fast SoA engine whenever its inlined failure-model draws are valid —
-#: i.e. ``config.failures`` is exactly :class:`FailureModel`, not a
-#: subclass with overridden draw logic — and the scalar golden
-#: reference otherwise. ``soa`` itself delegates to the compiled C hot
-#: loop (:mod:`repro.sim._ckernel`) when a compiler is available and
-#: the config is covered; ``soa-py`` forces the pure-Python SoA loop
-#: (used by the golden-equivalence tests to pin all three paths).
-ENGINES = ("auto", "soa", "soa-py", "scalar")
+#: Engines accepted by :meth:`ClusterSimulator.run`. ``auto`` runs the
+#: compiled C kernel (:mod:`repro.sim._ckernel`) when it is available
+#: and covers the configuration, and the scalar loop otherwise;
+#: ``scalar`` forces the scalar loop, the executable spec the
+#: golden-equivalence tests pin the kernel against.
+ENGINES = ("auto", "scalar")
 
 
 @dataclass(frozen=True)
@@ -126,46 +124,31 @@ class ClusterSimulator:
         requests: TaskRequests,
         horizon: float,
         *,
-        batched_drain: bool = True,
         engine: str = "auto",
     ) -> SimResult:
         """Simulate ``[0, horizon]`` seconds of the request stream.
 
-        ``engine`` selects the implementation: ``"scalar"`` is the
-        original per-object golden reference below, ``"soa"`` the
-        structure-of-arrays fast engine
-        (:func:`~repro.sim.soa.run_soa`, which itself uses the compiled
-        C hot loop when available), ``"soa-py"`` the SoA engine with
-        the compiled kernel disabled, and ``"auto"`` (default) picks
-        the SoA engine whenever the config is compatible (the failure
-        model is exactly :class:`FailureModel`, whose draws the fast
-        engine inlines). All engines produce byte-identical results —
-        same tables, counts, and final RNG state — which the
-        golden-equivalence suite enforces.
+        ``engine="auto"`` (default) runs the compiled C kernel
+        (:func:`repro.sim._ckernel.try_run`) when it is available and
+        covers the configuration — any placement policy, a plain
+        :class:`FailureModel`, a PCG64 generator — and the scalar loop
+        below otherwise; ``"scalar"`` forces the scalar loop. Both
+        produce byte-identical results — same tables, counts, and final
+        RNG state — which the golden-equivalence suite enforces.
 
-        ``batched_drain=True`` (the default) pops all events sharing a
-        timestamp in one :meth:`~repro.sim.engine.EventQueue.pop_batch`
-        call instead of one peek/pop round-trip per event. Scheduler
-        decisions are byte-identical either way (the golden equivalence
-        test runs both): events pushed while a batch is processed carry
-        later ``(time, seq)`` keys, so processing order is unchanged.
-        The flag only concerns the scalar engine; the SoA engine always
-        drains in batches.
+        The scalar loop pops all events sharing a timestamp in one
+        :meth:`~repro.sim.engine.EventQueue.pop_batch` call: events
+        pushed while a batch is processed carry later ``(time, seq)``
+        keys, so the processing order is that of one-at-a-time pops.
         """
         if horizon <= 0:
             raise ValueError("horizon must be positive")
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         if engine == "auto":
-            engine = (
-                "soa" if type(self.config.failures) is FailureModel else "scalar"
-            )
-        if engine in ("soa", "soa-py"):
-            from .soa import run_soa
-
-            return run_soa(
-                self, requests, horizon, allow_kernel=engine == "soa"
-            )
+            result = _ckernel.try_run(self, requests, horizon)
+            if result is not None:
+                return result
         fleet = FleetState(self.machines)
         monitor = UsageMonitor(fleet, self.config.monitor, self.rng)
         pending = PendingQueue()
@@ -306,7 +289,7 @@ class ClusterSimulator:
                     pending.push(task)
                 continue
 
-            batch = queue.pop_batch() if batched_drain else [queue.pop()]
+            batch = queue.pop_batch()
             time = batch[0][0]
             if time > horizon:
                 break

@@ -11,15 +11,6 @@ rejects past times and the tie-break sequence only grows, any event
 pushed *while a batch is being processed* sorts strictly after the
 whole batch — so interleaving ``pop_batch`` with pushes preserves the
 exact global ``(time, seq)`` processing order of one-at-a-time pops.
-
-:class:`CalendarQueue` is the fast engine's drop-in replacement: a
-calendar (bucketed) queue keyed on the monitor's tick grid. Pushes are
-O(1) list appends into the target bucket; a bucket is sorted once, when
-the queue first drains into it. Events pushed *behind* the already-
-sorted frontier (legal: their time is still >= ``now``) go to a small
-overflow heap consulted alongside the snapshot, so the global
-``(time, seq)`` pop order is identical to the binary heap's — a
-property test pits the two against each other on adversarial schedules.
 """
 
 from __future__ import annotations
@@ -28,11 +19,12 @@ import heapq
 import math
 from typing import Any
 
-__all__ = ["CalendarQueue", "EventQueue"]
+__all__ = ["EventQueue"]
 
-#: Event kinds shared by the scalar and SoA engines. ``ARRIVAL`` is
-#: reserved (arrivals are merged from the pre-sorted request stream,
-#: not queued); the rest appear as ``kind`` values on queue entries.
+#: Event kinds of the scalar engine (the C kernel mirrors them).
+#: ``ARRIVAL`` is reserved (arrivals are merged from the pre-sorted
+#: request stream, not queued); the rest appear as ``kind`` values on
+#: queue entries.
 ARRIVAL, COMPLETE, TICK, MACHINE_DOWN, MACHINE_UP = 0, 1, 2, 3, 4
 
 
@@ -95,181 +87,3 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Time of the next event, or None when empty."""
         return self._heap[0][0] if self._heap else None
-
-
-class CalendarQueue:
-    """Calendar (bucketed) event queue on a fixed time grid.
-
-    Same contract as :class:`EventQueue` — ``push``/``pop``/
-    ``pop_batch``/``peek_time``/``now``, past and non-finite times
-    rejected, FIFO at equal timestamps — but with O(1) unsorted pushes.
-    Buckets are ``width`` seconds wide (the simulator passes the
-    monitor's sample period, so one bucket holds one tick plus the
-    completions landing inside that tick window); times at or beyond
-    ``horizon`` share a single overflow bucket, which stays correct
-    because every bucket is sorted before it drains.
-
-    Invariants the property tests pin down:
-
-    * Entries are totally ordered by ``(time, seq)``; ``seq`` is the
-      push sequence, so equal-time events pop in push order.
-    * A bucket's list is sorted exactly once, when the drain frontier
-      reaches it. Later pushes into an already-sorted region (time
-      still >= ``now``) land in the ``_late`` heap; its entries always
-      carry larger ``seq`` than the sorted snapshot they interleave
-      with, so merging snapshot-first at equal times preserves the
-      global ``(time, seq)`` order.
-    * ``_late`` is empty whenever the frontier advances to a new
-      bucket, so no event is ever left behind the frontier.
-    """
-
-    __slots__ = (
-        "_width",
-        "_buckets",
-        "_frontier",
-        "_snapshot",
-        "_si",
-        "_late",
-        "_seq",
-        "_time",
-        "_len",
-    )
-
-    def __init__(self, width: float, horizon: float) -> None:
-        if not math.isfinite(width) or width <= 0:
-            raise ValueError(f"bucket width must be positive, got {width!r}")
-        if not math.isfinite(horizon) or horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon!r}")
-        n_buckets = int(horizon / width) + 2
-        self._width = width
-        self._buckets: list[list | None] = [None] * n_buckets
-        #: Index of the next bucket the drain frontier may sort.
-        self._frontier = 0
-        #: Sorted snapshot of the bucket currently draining.
-        self._snapshot: list[tuple[float, int, int, Any]] = []
-        self._si = 0
-        #: Heap of entries pushed behind the sorted frontier.
-        self._late: list[tuple[float, int, int, Any]] = []
-        self._seq = 0
-        self._time = 0.0
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    @property
-    def now(self) -> float:
-        """Timestamp of the most recently popped event."""
-        return self._time
-
-    def push(self, time: float, kind: int, payload: Any = None) -> None:
-        """Schedule an event; equal-time events pop in push order."""
-        if not math.isfinite(time):
-            raise ValueError(f"event time must be finite, got {time!r}")
-        if time < self._time:
-            raise ValueError(
-                f"cannot schedule into the past: {time} < now={self._time}"
-            )
-        entry = (time, self._seq, kind, payload)
-        self._seq += 1
-        self._len += 1
-        b = int(time / self._width)
-        if b >= len(self._buckets):
-            b = len(self._buckets) - 1
-        if b < self._frontier:
-            heapq.heappush(self._late, entry)
-            return
-        bucket = self._buckets[b]
-        if bucket is None:
-            self._buckets[b] = [entry]
-        else:
-            bucket.append(entry)
-
-    def _advance(self) -> None:
-        """Sort the next non-empty bucket into the drain snapshot."""
-        buckets = self._buckets
-        b = self._frontier
-        n = len(buckets)
-        while b < n and buckets[b] is None:
-            b += 1
-        if b == n:  # pragma: no cover - guarded by _len checks
-            raise IndexError("pop from an empty CalendarQueue")
-        snapshot = buckets[b]
-        buckets[b] = None
-        snapshot.sort()  # by (time, seq); seq unique so payloads never compare
-        self._snapshot = snapshot
-        self._si = 0
-        self._frontier = b + 1
-
-    def _head(self) -> tuple[float, int, int, Any]:
-        """Earliest entry without removing it (queue must be non-empty)."""
-        if self._si == len(self._snapshot) and not self._late:
-            self._advance()
-        snap_head = (
-            self._snapshot[self._si]
-            if self._si < len(self._snapshot)
-            else None
-        )
-        late_head = self._late[0] if self._late else None
-        if snap_head is None:
-            return late_head
-        if late_head is None or snap_head < late_head:
-            return snap_head
-        return late_head
-
-    def peek_time(self) -> float | None:
-        """Time of the next event, or None when empty."""
-        if not self._len:
-            return None
-        return self._head()[0]
-
-    def _pop_head(self) -> tuple[float, int, int, Any]:
-        snap_head = (
-            self._snapshot[self._si]
-            if self._si < len(self._snapshot)
-            else None
-        )
-        if snap_head is not None and (
-            not self._late or snap_head < self._late[0]
-        ):
-            self._si += 1
-        else:
-            snap_head = heapq.heappop(self._late)
-        self._len -= 1
-        return snap_head
-
-    def pop(self) -> tuple[float, int, Any]:
-        """Pop the earliest event; advances :attr:`now`."""
-        if not self._len:
-            raise IndexError("pop from an empty CalendarQueue")
-        self._head()  # loads the next bucket snapshot if needed
-        time, _seq, kind, payload = self._pop_head()
-        self._time = time
-        return time, kind, payload
-
-    def pop_batch(self) -> list[tuple[float, int, Any]]:
-        """Pop every event sharing the earliest timestamp, in push order.
-
-        Equal-time entries split across the sorted snapshot and the
-        late heap merge snapshot-first: snapshot entries were pushed
-        before the bucket sorted, so their ``seq`` is always smaller.
-        """
-        if not self._len:
-            raise IndexError("pop from an empty CalendarQueue")
-        self._head()  # loads the next bucket snapshot if needed
-        time, _seq, kind, payload = self._pop_head()
-        self._time = time
-        batch = [(time, kind, payload)]
-        snapshot, late = self._snapshot, self._late
-        si = self._si
-        while si < len(snapshot) and snapshot[si][0] == time:
-            _t, _s, kind, payload = snapshot[si]
-            si += 1
-            batch.append((time, kind, payload))
-        self._len -= si - self._si
-        self._si = si
-        while late and late[0][0] == time:
-            _t, _s, kind, payload = heapq.heappop(late)
-            self._len -= 1
-            batch.append((time, kind, payload))
-        return batch

@@ -18,12 +18,7 @@ import numpy as np
 from .machine import FleetState
 from .task import SimTask
 
-__all__ = [
-    "PendingQueue",
-    "choose_machine",
-    "choose_machine_columns",
-    "PLACEMENT_POLICIES",
-]
+__all__ = ["PendingQueue", "choose_machine", "PLACEMENT_POLICIES"]
 
 PLACEMENT_POLICIES = ("balance", "best_fit", "first_fit", "random")
 
@@ -86,46 +81,6 @@ def choose_machine(
         return int(idx[np.argmax(score)])
     if policy == "best_fit":
         return int(idx[np.argmin(fleet.free_cpu[idx])])
-    if policy == "first_fit":
-        return int(idx[0])
-    if policy == "random":
-        return int(rng.choice(idx))
-    raise ValueError(
-        f"unknown placement policy {policy!r}; choose from {PLACEMENT_POLICIES}"
-    )
-
-
-def choose_machine_columns(
-    free_cpu: np.ndarray,
-    free_mem: np.ndarray,
-    available: np.ndarray,
-    cpu_capacity: np.ndarray,
-    cpu_request: float,
-    mem_request: float,
-    allowed_mask: np.ndarray | None,
-    policy: str,
-    rng: np.random.Generator,
-) -> int:
-    """Column-level twin of :func:`choose_machine` for the SoA engine.
-
-    Same decision, bit for bit, given the same fleet state: the
-    candidate mask, the scores, and the tie-break (NumPy's first-index
-    argmax/argmin) replicate :func:`choose_machine` exactly — this
-    variant just reads raw arrays instead of a ``FleetState``/
-    :class:`~repro.sim.task.SimTask` pair, so the batch-admission path
-    can call it without materializing per-task objects.
-    """
-    mask = (free_cpu >= cpu_request) & (free_mem >= mem_request) & available
-    if allowed_mask is not None:
-        mask &= allowed_mask
-    if not mask.any():
-        return -1
-    idx = np.flatnonzero(mask)
-    if policy == "balance":
-        score = free_cpu[idx] / cpu_capacity[idx]
-        return int(idx[np.argmax(score)])
-    if policy == "best_fit":
-        return int(idx[np.argmin(free_cpu[idx])])
     if policy == "first_fit":
         return int(idx[0])
     if policy == "random":

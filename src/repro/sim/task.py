@@ -4,8 +4,8 @@ A :class:`SimTask` is one submission lineage of a task: resubmissions
 after failure or eviction reuse the same object, bumping its
 ``incarnation`` so stale completion events can be recognized and
 dropped (lazy cancellation). The scalar golden-reference engine
-materializes one ``SimTask`` per request; the fast engine instead keeps
-every per-task quantity in :class:`TaskColumns` — one structure-of-
+materializes one ``SimTask`` per request; the C kernel instead reads
+every per-task quantity from :class:`TaskColumns` — one structure-of-
 arrays block built once per run — and refers to tasks by row index.
 """
 
@@ -24,10 +24,10 @@ __all__ = ["SimTask", "TaskColumns"]
 class TaskColumns:
     """Immutable structure-of-arrays view of a request stream.
 
-    One row per submission lineage, in arrival order. The fast engine
+    One row per submission lineage, in arrival order. The C kernel
     keeps its *mutable* per-task state (state, machine, incarnation,
-    resubmit count, fate, start time) in plain per-row sequences of its
-    own; these columns carry everything that never changes after
+    resubmit count, fate, start time) in per-row arrays of its own;
+    these columns carry everything that never changes after
     :meth:`from_requests`, and the final event log is assembled by
     fancy-indexing them with the recorded row indices instead of
     reading attributes task by task.

@@ -15,6 +15,7 @@ from repro.experiments.bench import (
     main,
     next_snapshot_path,
 )
+from repro.sim import _ckernel
 
 
 def _snap(*entries):
@@ -40,10 +41,10 @@ class TestRegressionPolicy:
         assert compare_snapshots(base, cur) == []
 
     def test_near_unity_baselines_not_gated(self):
-        # The batched event drain hovers near 1x; its ratio is noise,
-        # not a guarantee to protect.
-        base = _snap(_e("event_drain", speedup=1.04))
-        cur = _snap(_e("event_drain", speedup=0.7))
+        # A reduction hovering near 1x has a ratio that is noise, not a
+        # guarantee to protect.
+        base = _snap(_e("sharded_ecdf", speedup=1.04))
+        cur = _snap(_e("sharded_ecdf", speedup=0.7))
         assert compare_snapshots(base, cur) == []
 
     def test_wall_check_opt_in(self):
@@ -110,7 +111,6 @@ class TestCli:
             "series_extraction",
             "run_length_segmentation",
             "mass_count_accumulation",
-            "event_drain",
             "sim_drain",
             "chunked_generation",
             "hostload_pipeline",
@@ -137,6 +137,8 @@ class TestCli:
         assert names == {"sim_drain"}
         (entry,) = snapshot["entries"]
         assert entry["speedup"] is not None  # scalar golden ran too
+        assert entry["ckernel"] is (_ckernel.load() is not None)
+        assert entry["ckernel_refusal"] == _ckernel.refusal()
 
     def test_unknown_scale_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,11 +1,11 @@
-"""Golden-equivalence and property tests for the SoA fast engine.
+"""Golden-equivalence tests for the compiled simulator kernel.
 
-The SoA engine (and its compiled C hot loop) must reproduce the scalar
-golden reference *byte for byte* — every event, every monitor sample,
-every count, and the final RNG state. These tests pin that contract
-over placement x preemption x churn x constraints, plus the calendar
-queue's ordering invariants and the scalar-engine bugfixes that rode
-along (stable preemption scan, fleet clamp, horizon accounting).
+The C kernel must reproduce the scalar golden reference *byte for
+byte* — every event, every monitor sample, every count, and the final
+RNG state including PCG64's half-word cache. These tests pin that
+contract over placement x preemption x churn x constraints, plus the
+scalar-engine bugfixes that rode along with the fast path (stable
+preemption scan, fleet clamp, horizon accounting).
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.sim import _ckernel
 from repro.sim.churn import ChurnModel
 from repro.sim.cluster import ENGINES
 from repro.sim.constraints import ConstraintModel, generate_attribute_matrix
-from repro.sim.engine import CalendarQueue, EventQueue
 from repro.sim.failures import FailureModel
 from repro.sim.machine import FleetState
 from repro.sim.task import SimTask
@@ -65,6 +64,25 @@ def _run(machines, requests, config, engine, seed, horizon):
     return result, sim.rng.bit_generator.state
 
 
+def _run_kernel(machines, requests, config, seed, horizon, *, prime=False):
+    """Run ``_ckernel.try_run`` directly; asserts the kernel claimed it.
+
+    ``prime`` draws one ``integers(0, 7)`` first, which leaves PCG64's
+    half-word cache set when the kernel starts.
+    """
+    sim = ClusterSimulator(machines, config, seed=seed)
+    if prime:
+        sim.rng.integers(0, 7)
+    result = _ckernel.try_run(sim, requests, horizon)
+    assert result is not None, "C kernel did not run this config"
+    return result, sim.rng.bit_generator.state
+
+
+def _needs_kernel():
+    if _ckernel.load() is None:
+        pytest.skip(f"C kernel unavailable: {_ckernel.refusal()}")
+
+
 def _assert_same(got, golden):
     result, rng_state = got
     ref, ref_state = golden
@@ -76,13 +94,14 @@ def _assert_same(got, golden):
 
 
 class TestGoldenEquivalence:
-    """scalar vs soa-py vs soa: all four tables + final RNG state."""
+    """scalar vs C kernel: all four tables + final RNG state."""
 
     @pytest.mark.parametrize(
         "policy", ["balance", "best_fit", "first_fit", "random"]
     )
     @pytest.mark.parametrize("features", ["plain", "full"])
     def test_engines_byte_identical(self, policy, features):
+        _needs_kernel()
         seed = 17
         horizon = 6 * HOUR
         machines, requests = _inputs(seed, horizon=horizon)
@@ -91,34 +110,42 @@ class TestGoldenEquivalence:
             policy, preempt=full, churn=full, constraints=full, seed=seed
         )
         golden = _run(machines, requests, config, "scalar", seed + 2, horizon)
-        for engine in ("soa-py", "soa"):
-            got = _run(machines, requests, config, engine, seed + 2, horizon)
-            _assert_same(got, golden)
+        got = _run_kernel(machines, requests, config, seed + 2, horizon)
+        _assert_same(got, golden)
 
-    def test_auto_resolves_to_soa(self):
+    def test_auto_resolves_to_kernel(self):
+        _needs_kernel()
         machines, requests = _inputs(23, n_machines=4, horizon=2 * HOUR)
         config = _config("balance")
-        golden = _run(machines, requests, config, "soa", 9, 2 * HOUR)
+        golden = _run_kernel(machines, requests, config, 9, 2 * HOUR)
         got = _run(machines, requests, config, "auto", 9, 2 * HOUR)
         _assert_same(got, golden)
 
     def test_engine_names(self):
-        assert ENGINES == ("auto", "soa", "soa-py", "scalar")
+        assert ENGINES == ("auto", "scalar")
         machines, requests = _inputs(3, n_machines=2, horizon=HOUR, rate=10.0)
         sim = ClusterSimulator(machines, SimConfig(), seed=1)
         with pytest.raises(ValueError, match="engine"):
-            sim.run(requests, HOUR, engine="vectorized")
+            sim.run(requests, HOUR, engine="soa")
 
 
 class TestKernelEligibility:
     """The C hot loop only claims configs it reproduces exactly."""
 
-    def test_random_policy_falls_back(self):
-        machines, requests = _inputs(3, n_machines=4, horizon=HOUR, rate=30.0)
-        sim = ClusterSimulator(
-            machines, SimConfig(placement="random"), seed=5
-        )
-        assert _ckernel.try_run(sim, requests, HOUR) is None
+    def test_random_policy_enters_with_cached_half_word(self):
+        # One integers() draw leaves has_uint32 == 1, so the kernel's
+        # first choice() must serve the cached high half, and the cache
+        # must come back out at every tick and at the end.
+        _needs_kernel()
+        machines, requests = _inputs(3, n_machines=6, horizon=2 * HOUR)
+        config = _config("random", n_machines=6)
+        sim = ClusterSimulator(machines, config, seed=5)
+        sim.rng.integers(0, 7)
+        assert sim.rng.bit_generator.state["has_uint32"] == 1
+        golden = sim.run(requests, 2 * HOUR, engine="scalar")
+        golden = (golden, sim.rng.bit_generator.state)
+        got = _run_kernel(machines, requests, config, 5, 2 * HOUR, prime=True)
+        _assert_same(got, golden)
 
     def test_subclassed_failure_model_falls_back(self):
         class TweakedFailures(FailureModel):
@@ -130,110 +157,12 @@ class TestKernelEligibility:
         assert _ckernel.try_run(sim, requests, HOUR) is None
 
     def test_kernel_claims_covered_config(self):
-        if _ckernel.load() is None:
-            pytest.skip("C kernel unavailable in this environment")
+        _needs_kernel()
         machines, requests = _inputs(3, n_machines=4, horizon=HOUR, rate=30.0)
         sim = ClusterSimulator(machines, SimConfig(), seed=5)
         result = _ckernel.try_run(sim, requests, HOUR)
         assert result is not None
         assert result.counts["submitted"] > 0
-
-
-class TestCalendarQueue:
-    """CalendarQueue must be a drop-in for the binary-heap EventQueue."""
-
-    def test_time_order_and_fifo_ties(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(30.0, 0, "c")
-        q.push(10.0, 0, "a")
-        q.push(10.0, 1, "b")
-        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_past_scheduling_rejected(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(50.0, 0)
-        q.pop()
-        with pytest.raises(ValueError, match="past"):
-            q.push(10.0, 0)
-
-    @pytest.mark.parametrize(
-        "bad", [float("nan"), float("inf"), float("-inf")]
-    )
-    def test_non_finite_time_rejected(self, bad):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        with pytest.raises(ValueError, match="finite"):
-            q.push(bad, 0)
-
-    def test_pop_empty_raises(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(IndexError):
-            q.pop_batch()
-
-    def test_beyond_horizon_overflow_bucket(self):
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(500.0, 0, "far")
-        q.push(120.0, 0, "near")
-        q.push(5.0, 0, "now")
-        assert [q.pop()[2] for _ in range(3)] == ["now", "near", "far"]
-
-    def test_late_push_into_draining_bucket(self):
-        # After the frontier sorts a bucket, a push at now() must land
-        # in the late heap and still interleave in (time, seq) order.
-        q = CalendarQueue(width=10.0, horizon=100.0)
-        q.push(12.0, 0, "a")
-        q.push(18.0, 0, "c")
-        assert q.pop()[2] == "a"  # frontier has sorted bucket [10, 20)
-        q.push(12.0, 0, "late-equal")
-        q.push(15.0, 0, "b")
-        assert [q.pop()[2] for _ in range(3)] == ["late-equal", "b", "c"]
-
-    def _random_times(self, rng, now, horizon):
-        r = rng.random()
-        if r < 0.25:
-            return now  # exercise the late heap at the frontier
-        if r < 0.55:
-            # grid-aligned → timestamp ties across and within buckets
-            return max(now, float(rng.integers(0, 14)) * 10.0)
-        return now + float(rng.uniform(0.0, horizon * 1.3))
-
-    def test_matches_heap_reference_interleaved(self):
-        rng = np.random.default_rng(41)
-        for trial in range(4):
-            cal = CalendarQueue(width=10.0, horizon=100.0)
-            ref = EventQueue()
-            pushed = 0
-            for _step in range(400):
-                if len(ref) and rng.random() < 0.45:
-                    assert cal.pop() == ref.pop()
-                    assert cal.now == ref.now
-                else:
-                    t = self._random_times(rng, cal.now, 100.0)
-                    kind = int(rng.integers(0, 3))
-                    cal.push(t, kind, pushed)
-                    ref.push(t, kind, pushed)
-                    pushed += 1
-                assert len(cal) == len(ref)
-                assert cal.peek_time() == ref.peek_time()
-            while len(ref):
-                assert cal.pop() == ref.pop()
-
-    def test_pop_batch_matches_heap_reference(self):
-        rng = np.random.default_rng(42)
-        cal = CalendarQueue(width=10.0, horizon=100.0)
-        ref = EventQueue()
-        pushed = 0
-        for _step in range(300):
-            if len(ref) and rng.random() < 0.35:
-                assert cal.pop_batch() == ref.pop_batch()
-            else:
-                t = self._random_times(rng, cal.now, 100.0)
-                cal.push(t, 0, pushed)
-                ref.push(t, 0, pushed)
-                pushed += 1
-        while len(ref):
-            assert cal.pop_batch() == ref.pop_batch()
 
 
 def _task(priority=5, cpu=0.1, mem=0.1, job=0, idx=0, start=0.0):
@@ -336,7 +265,7 @@ class TestFleetClampInvariant:
 class TestHorizonAccounting:
     """submitted == terminal events + still-running + still-pending."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "soa"])
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
     @pytest.mark.parametrize(
         "policy,preempt", [("balance", True), ("first_fit", False)]
     )
