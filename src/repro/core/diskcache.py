@@ -11,27 +11,42 @@ warm cache is always safe to reuse.
 Storage layout (one directory per entry, content-addressed)::
 
     <root>/<key[:2]>/<key>/
-        skeleton.pkl   object tree with arrays replaced by references
-        data.npz       the referenced NumPy arrays (compressed)
+        skeleton.pkl   object tree with arrays replaced by references,
+                       plus each array's layout in the payload
+        arrays.zblk    the referenced arrays as zlib block streams
         meta.json      key + payload size, for inspection/eviction
+
+The payload is every array's C-order bytes, one array after the other,
+cut into fixed :data:`BLOCK_BYTES` blocks; each block is an independent
+level-1 zlib stream, so blocks compress and decompress in parallel on a
+short-lived thread pool (zlib releases the GIL) and the file's bytes do
+not depend on the worker count. The layout pickled with the skeleton
+records, per array, its dtype descriptor, shape, raw byte count, block
+size and the compressed length of every block. Reads check the file
+length against the layout, and each block's raw length and zlib
+adler32 checksum.
 
 Entries are written into a temp directory and renamed into place, so
 readers never observe a half-written entry. Reads refresh the entry's
 mtime; eviction drops the least-recently-used entries once the cache
-exceeds its entry or byte budget. A corrupted entry (truncated file,
-unpicklable skeleton) is moved into a ``.quarantine/`` directory —
-kept for post-mortem inspection, never served again — and reported as
-a miss, so the caller transparently rebuilds it; the ``quarantined``
-counter surfaces the event in the run's timing footer. An entry that
-simply *vanishes* mid-read (a concurrent process evicted it between
-the existence check and the open) is a plain miss, not corruption.
+exceeds its entry or byte budget. A corrupted entry (truncated or
+zero-filled payload, a flipped byte, unpicklable skeleton) is moved
+into a ``.quarantine/`` directory — kept for post-mortem inspection,
+never served again — and reported as a miss, so the caller
+transparently rebuilds it; the ``quarantined`` counter surfaces the
+event in the run's timing footer. An entry that simply *vanishes*
+mid-read (a concurrent process evicted it between the existence check
+and the open) is a plain miss, not corruption.
 
 The codec is structural, not type-specific: it walks dataclasses,
 dicts, lists/tuples and :class:`~repro.core.table.Table` instances,
-extracting every NumPy array into one ``npz`` payload and pickling the
-remaining skeleton. That covers ``Table``, ``SimResult``,
-``MachineLoadSeries`` and the dataset containers without this layer-0
-module importing anything above ``core``.
+extracting every NumPy array into the block payload and pickling the
+remaining skeleton. Dataclass fields declared ``init=False`` are not
+stored: decoding rebuilds each dataclass through its ``__init__``, so
+such fields are re-derived from the stored ones. That covers
+``Table``, ``SimResult``, ``MachineLoadSeries`` and the dataset
+containers without this layer-0 module importing anything above
+``core``.
 """
 
 from __future__ import annotations
@@ -43,6 +58,11 @@ import os
 import pickle
 import shutil
 import tempfile
+import zlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,14 +200,14 @@ def cache_key(**components: object) -> str:
 
 @dataclass(frozen=True)
 class _ArrayRef:
-    """Placeholder for an array stored in the entry's npz payload."""
+    """Placeholder for an array stored in the entry's block payload."""
 
     index: int
 
 
 @dataclass(frozen=True)
 class _TableRef:
-    """Placeholder for a Table; columns reference npz arrays."""
+    """Placeholder for a Table; columns reference payload arrays."""
 
     columns: tuple[tuple[str, "_ArrayRef"], ...]
 
@@ -203,7 +223,7 @@ class _ObjRef:
 def _encode(obj: object, arrays: list[np.ndarray]) -> object:
     """Replace arrays/Tables/dataclasses with references, recursively."""
     if isinstance(obj, np.ndarray):
-        if obj.dtype == object:
+        if obj.dtype.hasobject:
             return obj  # rare; stays in the pickled skeleton
         arrays.append(obj)
         return _ArrayRef(len(arrays) - 1)
@@ -232,10 +252,10 @@ def _encode(obj: object, arrays: list[np.ndarray]) -> object:
     return obj
 
 
-def _decode(obj: object, arrays: dict[str, np.ndarray]) -> object:
+def _decode(obj: object, arrays: list[np.ndarray]) -> object:
     """Inverse of :func:`_encode`."""
     if isinstance(obj, _ArrayRef):
-        return arrays[f"a{obj.index}"]
+        return arrays[obj.index]
     if isinstance(obj, _TableRef):
         return Table({name: _decode(ref, arrays) for name, ref in obj.columns})
     if isinstance(obj, _ObjRef):
@@ -247,6 +267,152 @@ def _decode(obj: object, arrays: dict[str, np.ndarray]) -> object:
     if isinstance(obj, list):
         return [_decode(v, arrays) for v in obj]
     return obj
+
+
+# -- block payload ------------------------------------------------------------
+
+#: Raw bytes per compressed block; the last block of an array is shorter.
+#: Each worker thread's malloc arena keeps its largest buffers after the
+#: pool exits, so 1 MiB blocks left the paper-scale supervisor's peak
+#: 5-7 MiB higher than 256 KiB blocks do, at the same speed.
+BLOCK_BYTES = 1 << 18
+#: zlib level of every block: level 1 costs about 1% more bytes than
+#: level 6 on the dataset entries and compresses several times faster.
+_LEVEL = 1
+#: Threads compressing or decompressing blocks during one put or get.
+_WORKERS = min(4, os.cpu_count() or 1)
+
+
+@dataclass(frozen=True)
+class _ArrayLayout:
+    """Where one array lives in the payload and how to rebuild it."""
+
+    descr: object  # numpy dtype descriptor (np.lib.format.dtype_to_descr)
+    shape: tuple[int, ...]
+    nbytes: int  # raw C-order byte count
+    block_bytes: int  # BLOCK_BYTES when written; reads do not assume it
+    blocks: tuple[int, ...]  # compressed length of each block
+
+    def raw_lengths(self) -> list[int]:
+        """Raw byte count of each block."""
+        return [
+            min(self.block_bytes, self.nbytes - start)
+            for start in range(0, self.nbytes, self.block_bytes)
+        ]
+
+
+@dataclass(frozen=True)
+class _Skeleton:
+    """Contents of ``skeleton.pkl``."""
+
+    tree: object  # the stored object with arrays replaced by _ArrayRef
+    arrays: tuple[_ArrayLayout, ...]  # payload layout, in payload order
+
+
+def _raw_bytes(arr: np.ndarray) -> memoryview:
+    """The array's C-order bytes (copied only if not C-contiguous)."""
+    if not arr.nbytes:
+        return memoryview(b"")
+    return memoryview(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+
+
+def _deflate(block: memoryview) -> bytes:
+    return zlib.compress(block, _LEVEL)
+
+
+def _inflate_into(job: tuple[bytes, np.ndarray]) -> None:
+    """Decompress one block into its slot; raise if it does not fit."""
+    data, dest = job
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(data, dest.size + 1)
+    except zlib.error as exc:  # bad stream or adler32 mismatch
+        raise CacheCorruptionError(f"payload block: {exc}") from None
+    if not inflater.eof or inflater.unused_data or len(raw) != dest.size:
+        raise CacheCorruptionError("payload block has the wrong length")
+    dest[:] = np.frombuffer(raw, dtype=np.uint8)
+
+
+def _ordered_map(pool: ThreadPoolExecutor | None, fn, items):
+    """``map(fn, items)`` in order, with a bounded number of blocks in flight.
+
+    ``items`` is consumed lazily, so at most ``2 * _WORKERS`` blocks
+    (and their results) are held at once.
+    """
+    if pool is None:
+        yield from map(fn, items)
+        return
+    pending: deque = deque()
+    for item in items:
+        if len(pending) >= 2 * _WORKERS:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
+@contextmanager
+def _block_pool():
+    """A thread pool for one put or get, joined before it returns.
+
+    No thread outlives the call: the experiment supervisor forks right
+    after its warm-up reads and writes, and a fork must not copy a pool.
+    """
+    if _WORKERS <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        yield pool
+
+
+def _write_payload(path: Path, arrays: list[np.ndarray]) -> tuple[_ArrayLayout, ...]:
+    """Compress ``arrays`` into ``path`` block by block; return the layout."""
+    blocks = (
+        raw[start : start + BLOCK_BYTES]
+        for raw in map(_raw_bytes, arrays)
+        for start in range(0, len(raw), BLOCK_BYTES)
+    )
+    lengths: list[int] = []
+    with open(path, "wb") as fh, _block_pool() as pool:
+        for data in _ordered_map(pool, _deflate, blocks):
+            fh.write(data)
+            lengths.append(len(data))
+    per_block = iter(lengths)
+    return tuple(
+        _ArrayLayout(
+            descr=np.lib.format.dtype_to_descr(arr.dtype),
+            shape=arr.shape,
+            nbytes=arr.nbytes,
+            block_bytes=BLOCK_BYTES,
+            blocks=tuple(islice(per_block, -(-arr.nbytes // BLOCK_BYTES))),
+        )
+        for arr in arrays
+    )
+
+
+def _read_payload(path: Path, layout: tuple[_ArrayLayout, ...]) -> list[np.ndarray]:
+    """Decompress the payload straight into fresh writable arrays."""
+    arrays = [
+        np.empty(a.shape, dtype=np.lib.format.descr_to_dtype(a.descr))
+        for a in layout
+    ]
+    slots = []
+    for arr, a in zip(arrays, layout):
+        if arr.nbytes != a.nbytes:
+            raise CacheCorruptionError("payload layout disagrees with its dtype")
+        flat = arr.reshape(-1).view(np.uint8) if a.nbytes else None
+        start = 0
+        for length, raw_length in zip(a.blocks, a.raw_lengths(), strict=True):
+            slots.append((length, flat[start : start + raw_length]))
+            start += raw_length
+    with open(path, "rb") as fh, _block_pool() as pool:
+        expected = sum(length for length, _ in slots)
+        if os.fstat(fh.fileno()).st_size != expected:
+            raise CacheCorruptionError("payload file has the wrong length")
+        jobs = ((fh.read(length), dest) for length, dest in slots)
+        for _ in _ordered_map(pool, _inflate_into, jobs):
+            pass
+    return arrays
 
 
 # -- the cache ----------------------------------------------------------------
@@ -284,7 +450,7 @@ class CacheStats:
 
 
 _SKELETON = "skeleton.pkl"
-_PAYLOAD = "data.npz"
+_PAYLOAD = "arrays.zblk"
 _PAYLOAD_DIR = "payload"
 _META = "meta.json"
 _QUARANTINE = ".quarantine"
@@ -335,16 +501,21 @@ class DiskCache:
         self.max_bytes = max_bytes
         self.max_entries = max_entries
         self.stats = CacheStats()
+        #: Bytes of each entry as this instance last saw it: seeded by
+        #: one scan, then updated by its own puts, quarantines and
+        #: evictions (``None`` until the first eviction check).
+        self._sizes: dict[Path, int] | None = None
 
     # -- public API -----------------------------------------------------------
 
     def get(self, key: str) -> object:
         """Return the cached object, or :data:`MISS`.
 
-        Unreadable entries (truncated payload, bad pickle) are moved to
-        the quarantine directory and reported as a miss so callers
-        rebuild them. An entry evicted by a concurrent process between
-        the existence check and the read is a plain miss.
+        Unreadable entries (a payload that fails its length or checksum
+        checks, a bad pickle) are moved to the quarantine directory and
+        reported as a miss so callers rebuild them. An entry evicted by
+        a concurrent process between the existence check and the read is
+        a plain miss.
         """
         entry = self._entry_dir(key)
         if not (entry / _SKELETON).exists():
@@ -353,12 +524,12 @@ class DiskCache:
         try:
             with open(entry / _SKELETON, "rb") as fh:
                 skeleton = pickle.load(fh)
-            arrays: dict[str, np.ndarray] = {}
-            payload = entry / _PAYLOAD
-            if payload.exists():
-                with np.load(payload, allow_pickle=False) as npz:
-                    arrays = {name: npz[name] for name in npz.files}
-            obj = _decode(skeleton, arrays)
+            if not isinstance(skeleton, _Skeleton):
+                raise CacheCorruptionError("skeleton.pkl in an unknown format")
+            arrays: list[np.ndarray] = []
+            if skeleton.arrays:
+                arrays = _read_payload(entry / _PAYLOAD, skeleton.arrays)
+            obj = _decode(skeleton.tree, arrays)
         except FileNotFoundError:
             # Concurrent eviction won the race; nothing is wrong with
             # the (now absent) entry.
@@ -381,15 +552,15 @@ class DiskCache:
         """Store an object under ``key`` (atomic; last writer wins)."""
         self.root.mkdir(parents=True, exist_ok=True)
         arrays: list[np.ndarray] = []
-        skeleton = _encode(obj, arrays)
+        tree = _encode(obj, arrays)
         tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".write-"))
         try:
+            layout = _write_payload(tmp / _PAYLOAD, arrays) if arrays else ()
             with open(tmp / _SKELETON, "wb") as fh:
-                pickle.dump(skeleton, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            if arrays:
-                np.savez_compressed(
-                    tmp / _PAYLOAD,
-                    **{f"a{i}": arr for i, arr in enumerate(arrays)},
+                pickle.dump(
+                    _Skeleton(tree=tree, arrays=layout),
+                    fh,
+                    protocol=pickle.HIGHEST_PROTOCOL,
                 )
             nbytes = _dir_bytes(tmp)
             (tmp / _META).write_text(
@@ -408,6 +579,7 @@ class DiskCache:
             shutil.rmtree(tmp, ignore_errors=True)
         else:
             self.stats.puts += 1
+            self._index(entry)
         self._evict(keep=self._entry_dir(key))
 
     def put_path(self, key: str, src: str | Path, *, move: bool = False) -> None:
@@ -428,7 +600,11 @@ class DiskCache:
         tmp = Path(tempfile.mkdtemp(dir=self.root, prefix=".write-"))
         try:
             with open(tmp / _SKELETON, "wb") as fh:
-                pickle.dump(_DirEntry(), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(
+                    _Skeleton(tree=_DirEntry(), arrays=()),
+                    fh,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
             dest = tmp / _PAYLOAD_DIR
             if move:
                 os.rename(src, dest)
@@ -451,6 +627,7 @@ class DiskCache:
             shutil.rmtree(tmp, ignore_errors=True)
         else:
             self.stats.puts += 1
+            self._index(entry)
         self._evict(keep=self._entry_dir(key))
 
     def get_path(self, key: str) -> Path | _Miss:
@@ -497,6 +674,7 @@ class DiskCache:
                 remove_durable(entry)
             except OSError:
                 pass
+        self._sizes = None
 
     # -- internals ------------------------------------------------------------
 
@@ -523,6 +701,8 @@ class DiskCache:
         process already moved or deleted the entry) the entry is simply
         removed.
         """
+        if self._sizes is not None:
+            self._sizes.pop(entry, None)
         qdir = self.quarantine_dir()
         dest = qdir / entry.name
         try:
@@ -574,17 +754,42 @@ class DiskCache:
                 found.append((entry, mtime, size))
         return found
 
+    def _index(self, entry: Path) -> None:
+        """Record the size of an entry this instance just published."""
+        if self._sizes is None:
+            return
+        try:
+            self._sizes[entry] = _dir_bytes(entry)
+        except OSError:
+            self._sizes = None  # evicted meanwhile; rescan at the next check
+
+    def _over_budget(self, count: int, total: int) -> bool:
+        return (self.max_entries is not None and count > self.max_entries) or (
+            self.max_bytes is not None and total > self.max_bytes
+        )
+
     def _evict(self, keep: Path | None = None) -> None:
-        """Drop least-recently-used entries beyond the size budgets."""
+        """Drop least-recently-used entries beyond the size budgets.
+
+        The size index decides whether a budget may be exceeded; only
+        then is the whole cache rescanned, so a run of puts does not
+        walk every entry each time. The LRU order, the budgets and the
+        reseeded index all come from that scan of the disk. Entries
+        other processes add meanwhile are counted at the next scan.
+        """
         if self.max_bytes is None and self.max_entries is None:
+            return
+        sizes = self._sizes
+        if sizes is not None and not self._over_budget(
+            len(sizes), sum(sizes.values())
+        ):
             return
         entries = sorted(self._scan(), key=lambda e: (e[1], e[0].name))
         total = sum(size for _, _, size in entries)
         count = len(entries)
+        evicted: set[Path] = set()
         for entry, _, size in entries:
-            over_entries = self.max_entries is not None and count > self.max_entries
-            over_bytes = self.max_bytes is not None and total > self.max_bytes
-            if not (over_entries or over_bytes):
+            if not self._over_budget(count, total):
                 break
             if keep is not None and entry == keep:
                 continue
@@ -593,5 +798,9 @@ class DiskCache:
             except OSError:
                 pass
             self.stats.evictions += 1
+            evicted.add(entry)
             total -= size
             count -= 1
+        self._sizes = {
+            entry: size for entry, _, size in entries if entry not in evicted
+        }

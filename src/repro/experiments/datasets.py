@@ -22,7 +22,7 @@ environment variable; it is off by default for library use.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -62,7 +62,7 @@ __all__ = [
 
 #: Bump when a builder, model default, or cached container changes in a
 #: way that alters dataset contents; old disk-cache entries then miss.
-DATASET_CACHE_VERSION = 1
+DATASET_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -138,22 +138,42 @@ def sim_google_config(spec: ScaleSpec) -> GoogleConfig:
 
 @dataclass(frozen=True)
 class WorkloadDataset:
-    """Per-job tables for every system plus Google task-level samples."""
+    """Per-job tables for every system plus Google task-level samples.
+
+    ``grid_jobs`` is derived from ``grid_jobs_native`` on construction,
+    so the disk cache stores only the native tables (its codec skips
+    ``init=False`` fields and rebuilds through ``__init__``).
+    """
 
     horizon: float
     google_jobs: Table
     grid_jobs_native: dict[str, Table]  # GWA/SWF schemas
-    grid_jobs: dict[str, Table]  # converted to the common schema
     google_tasks: TaskRequests  # task-level sample (lengths, priorities)
+    grid_jobs: dict[str, Table] = field(init=False)  # common schema
+
+    def __post_init__(self) -> None:
+        converted = {
+            name: grid_jobs_to_job_table(table)
+            for name, table in self.grid_jobs_native.items()
+        }
+        object.__setattr__(self, "grid_jobs", converted)
 
 
 @dataclass(frozen=True)
 class SimulationDataset:
-    """One simulated cluster month plus its per-machine series."""
+    """One simulated cluster month plus its per-machine series.
+
+    ``series`` slices ``result.machine_usage`` per machine on
+    construction, so the disk cache stores those rows only once.
+    """
 
     result: SimResult
-    series: dict[int, MachineLoadSeries]
     config: GoogleConfig
+    series: dict[int, MachineLoadSeries] = field(init=False)
+
+    def __post_init__(self) -> None:
+        series = all_machine_series(self.result.machine_usage, self.result.machines)
+        object.__setattr__(self, "series", series)
 
 
 # -- disk cache wiring --------------------------------------------------------
@@ -283,9 +303,6 @@ def _build_workload(
     # variance budget matches what the horizon actually contains.
     google_jobs = generate_google_jobs(horizon, seed=seed, config=config)
     native = generate_all_grids(horizon, seed=seed + 1)
-    converted = {
-        name: grid_jobs_to_job_table(table) for name, table in native.items()
-    }
     # Task-level sample: a short dense stream gives i.i.d. draws from
     # the calibrated per-priority task-length model.
     rate = spec.task_sample_size / (2 * DAY / 3600.0)
@@ -299,7 +316,6 @@ def _build_workload(
         horizon=horizon,
         google_jobs=google_jobs,
         grid_jobs_native=native,
-        grid_jobs=converted,
         google_tasks=tasks,
     )
 
@@ -334,8 +350,7 @@ def _build_simulation(
     )
     sim = ClusterSimulator(machines, SimConfig(), seed=seed + 12)
     result = sim.run(requests, spec.sim_horizon)
-    series = all_machine_series(result.machine_usage, result.machines)
-    return SimulationDataset(result=result, series=series, config=config)
+    return SimulationDataset(result=result, config=config)
 
 
 def grid_system_names() -> list[str]:

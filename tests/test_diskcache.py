@@ -1,12 +1,20 @@
 """Unit tests for the content-addressed dataset disk cache."""
 
 import dataclasses
+import tempfile
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core import diskcache
 from repro.core.diskcache import (
     MISS,
+    CacheCorruptionError,
     DiskCache,
     cache_key,
     fingerprint,
@@ -134,7 +142,7 @@ class TestCorruption:
         cache = DiskCache(tmp_path)
         key = "e" * 64
         cache.put(key, _payload(1))
-        payload = tmp_path / key[:2] / key / "data.npz"
+        payload = tmp_path / key[:2] / key / "arrays.zblk"
         payload.write_bytes(payload.read_bytes()[:20])
         assert cache.get(key) is MISS
         assert cache.stats.errors == 1
@@ -150,6 +158,147 @@ class TestCorruption:
         (tmp_path / key[:2] / key / "skeleton.pkl").write_bytes(b"not a pickle")
         assert cache.get(key) is MISS
         assert key not in cache
+
+
+_DTYPES = [
+    np.dtype(code)
+    for code in (
+        "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8", "f4", "f8", "?",
+        ">i4", ">u8", ">f8",
+    )
+] + [np.dtype([("a", "<i2"), ("b", ">f8"), ("c", "?")])]
+
+
+@st.composite
+def _stored_array(draw):
+    """Any codec input: 0-d, empty, C, Fortran or non-contiguous."""
+    dtype = draw(st.sampled_from(_DTYPES))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9))
+    arr = draw(hnp.arrays(dtype, shape))
+    order = draw(st.sampled_from(["C", "F", "strided"]))
+    if order == "F":
+        return np.asfortranarray(arr)
+    if order == "strided" and arr.ndim:
+        return arr[..., ::2]
+    return arr
+
+
+def _entry_file(root, key, name):
+    return root / key[:2] / key / name
+
+
+class TestBlockCodec:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_stored_array(), min_size=1, max_size=3))
+    def test_round_trip_is_exact(self, arrays):
+        # Tiny blocks so most arrays span several of them.
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(
+            diskcache, "BLOCK_BYTES", 16
+        ):
+            cache = DiskCache(root)
+            cache.put("a" * 64, arrays)
+            loaded = cache.get("a" * 64)
+        assert loaded is not MISS and len(loaded) == len(arrays)
+        for got, want in zip(loaded, arrays):
+            assert got.dtype == want.dtype
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # bit-exact, NaNs too
+            assert got.flags.writeable
+
+    def test_multi_block_array_at_real_block_size(self, tmp_path):
+        arr = np.random.default_rng(0).integers(0, 1000, size=(600_000, 1))
+        cache = DiskCache(tmp_path)
+        cache.put("b" * 64, {"x": arr, "y": arr[::3, 0]})
+        loaded = cache.get("b" * 64)
+        np.testing.assert_array_equal(loaded["x"], arr)
+        np.testing.assert_array_equal(loaded["y"], arr[::3, 0])
+        assert arr.nbytes > 4 * diskcache.BLOCK_BYTES
+
+    def test_entry_reads_back_after_the_block_size_changes(self, tmp_path):
+        arr = np.arange(100_000)
+        cache = DiskCache(tmp_path)
+        with mock.patch.object(diskcache, "BLOCK_BYTES", 4096):
+            cache.put("f" * 64, arr)
+        np.testing.assert_array_equal(cache.get("f" * 64), arr)
+        assert cache.stats.errors == 0
+
+    def test_payload_bytes_do_not_depend_on_worker_count(self, tmp_path):
+        rng = np.random.default_rng(1)
+        obj = {
+            "ints": rng.integers(0, 500, size=700_000),
+            "floats": rng.normal(size=300_000).astype(">f8"),
+        }
+        written = []
+        for workers in (1, 3):
+            root = tmp_path / f"w{workers}"
+            with mock.patch.object(diskcache, "_WORKERS", workers):
+                DiskCache(root).put("c" * 64, obj)
+            written.append(
+                [
+                    _entry_file(root, "c" * 64, name).read_bytes()
+                    for name in ("arrays.zblk", "skeleton.pkl")
+                ]
+            )
+        assert obj["ints"].nbytes > 4 * diskcache.BLOCK_BYTES
+        assert written[0] == written[1]
+
+
+def _power_loss(data: bytes, kind: str, rng: np.random.Generator) -> bytes:
+    """The payload after a torn write: truncated, zero-filled or bit-rotted."""
+    if kind == "truncate":
+        return data[: int(rng.integers(0, len(data)))]
+    if kind == "zero-tail":
+        last = max(i for i, b in enumerate(data[-4096:], len(data) - 4096) if b)
+        start = int(rng.integers(0, last + 1))
+        return data[:start] + bytes(len(data) - start)
+    pos = int(rng.integers(0, len(data)))
+    return data[:pos] + bytes([data[pos] ^ 0xFF]) + data[pos + 1 :]
+
+
+class TestPowerLoss:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["truncate", "zero-tail", "flip"])
+    def test_damaged_payload_is_quarantined_then_rebuilt(self, tmp_path, kind, seed):
+        rng = np.random.default_rng(seed)
+        obj = {"x": rng.integers(0, 100, size=330_000), "t": _payload(seed)}
+        key = "d" * 64
+        cache = DiskCache(tmp_path)
+        cache.put(key, obj)
+        payload = _entry_file(tmp_path, key, "arrays.zblk")
+        data = payload.read_bytes()
+        damaged = _power_loss(data, kind, rng)
+        assert damaged != data
+        payload.write_bytes(damaged)
+        assert cache.get(key) is MISS
+        assert cache.stats.errors == 1
+        assert cache.quarantined_entries() == [key]
+        assert key not in cache
+        cache.put(key, obj)
+        loaded = cache.get(key)
+        np.testing.assert_array_equal(loaded["x"], obj["x"])
+        assert loaded["t"].table == obj["t"].table
+
+
+class TestIntegrityChecks:
+    def test_block_must_inflate_to_exactly_its_raw_length(self):
+        block = zlib.compress(b"abcd")
+        dest = np.empty(4, np.uint8)
+        diskcache._inflate_into((block, dest))
+        assert dest.tobytes() == b"abcd"
+        for size in (3, 5):
+            with pytest.raises(CacheCorruptionError):
+                diskcache._inflate_into((block, np.empty(size, np.uint8)))
+        with pytest.raises(CacheCorruptionError):  # stream cut short
+            diskcache._inflate_into((block[:-2], np.empty(4, np.uint8)))
+
+    def test_payload_longer_than_its_layout_is_quarantined(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        key = "e" * 64
+        cache.put(key, {"x": np.arange(1000)})
+        payload = _entry_file(tmp_path, key, "arrays.zblk")
+        payload.write_bytes(payload.read_bytes() + b"\0")
+        assert cache.get(key) is MISS
+        assert cache.quarantined_entries() == [key]
 
 
 class TestQuarantine:
@@ -262,6 +411,23 @@ class TestEviction:
         cache._evict()
         # Every entry exceeds one byte; only the newest survives a put.
         assert len(cache.entries()) <= 1
+
+    def test_index_rescans_only_when_a_budget_is_exceeded(self, tmp_path):
+        cache = DiskCache(tmp_path, max_entries=4, max_bytes=None)
+        scans = []
+        scan = cache._scan
+
+        def counted_scan():
+            scans.append(1)
+            return scan()
+
+        cache._scan = counted_scan
+        for c in "abcd":
+            cache.put(c * 64, {"x": np.arange(10)})
+        assert len(scans) == 1  # the seeding scan
+        cache.put("e" * 64, {"x": np.arange(10)})
+        assert len(scans) == 2
+        assert len(cache.entries()) == 4 and cache.stats.evictions == 1
 
     def test_no_budget_keeps_everything(self, tmp_path):
         cache = DiskCache(tmp_path, max_entries=None, max_bytes=None)

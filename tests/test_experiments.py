@@ -6,6 +6,7 @@ small test scale. Magnitudes are checked loosely where the small scale
 supports it; exact magnitudes are the benchmarks' job at paper scale.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -234,3 +235,64 @@ class TestDatasets:
         from repro.experiments.datasets import workload_dataset
 
         assert workload_dataset("small", 0) is workload_dataset("small", 0)
+
+
+class TestDatasetCacheEntries:
+    """Derived views are rebuilt on load, never stored in the disk cache."""
+
+    def test_derived_views_are_not_stored_and_rebuild_identically(self, tmp_path):
+        import pickle
+
+        from repro.core import diskcache
+        from repro.experiments import datasets
+
+        try:
+            datasets.configure_cache(tmp_path)
+            built = {
+                "WorkloadDataset": datasets.workload_dataset("small", 0),
+                "SimulationDataset": datasets.simulation_dataset("small", 0),
+            }
+            stored = {}
+            for key in datasets.dataset_cache().entries():
+                with open(tmp_path / key[:2] / key / "skeleton.pkl", "rb") as fh:
+                    skeleton = pickle.load(fh)
+                names = [name for name, _ in skeleton.tree.state]
+                stored[skeleton.tree.cls.__name__] = (names, skeleton.arrays)
+            assert set(stored["WorkloadDataset"][0]) == {
+                "horizon", "google_jobs", "grid_jobs_native", "google_tasks",
+            }
+            assert set(stored["SimulationDataset"][0]) == {"result", "config"}
+            # The payload holds the arrays of the stored fields and no more.
+            for cls, (names, layout) in stored.items():
+                arrays = []
+                diskcache._encode([getattr(built[cls], n) for n in names], arrays)
+                assert len(layout) == len(arrays)
+
+            datasets.configure_cache(tmp_path)  # fresh memo, same disk
+            workload = datasets.workload_dataset("small", 0)
+            simulation = datasets.simulation_dataset("small", 0)
+            assert datasets.dataset_stats()["disk_hits"] == 2
+            datasets.configure_cache(None)
+            rebuilt_workload = datasets.workload_dataset("small", 0)
+            rebuilt_simulation = datasets.simulation_dataset("small", 0)
+        finally:
+            datasets.configure_cache(None)
+            datasets.reset_dataset_stats()
+
+        assert workload.grid_jobs.keys() == rebuilt_workload.grid_jobs.keys()
+        for name, table in rebuilt_workload.grid_jobs.items():
+            got = workload.grid_jobs[name]
+            assert got.column_names == table.column_names
+            for column in table.column_names:
+                assert got[column].dtype == table[column].dtype
+                np.testing.assert_array_equal(got[column], table[column])
+        assert simulation.series.keys() == rebuilt_simulation.series.keys()
+        for machine, series in rebuilt_simulation.series.items():
+            got = simulation.series[machine]
+            for f in dataclasses.fields(series):
+                want = getattr(series, f.name)
+                if isinstance(want, np.ndarray):
+                    assert getattr(got, f.name).dtype == want.dtype
+                    np.testing.assert_array_equal(getattr(got, f.name), want)
+                else:
+                    assert getattr(got, f.name) == want
