@@ -18,18 +18,17 @@ concatenation, max unions, boundary stitching — the parallel result is
 byte-identical to the serial fold; every accumulator shipped in
 ``core.kernels``/``core.segments``/``core.fairness`` satisfies this.
 
-Every block runs in its own one-shot **spawn** process with a result
-pipe, supervised the same way :mod:`repro.experiments.supervisor`
-supervises experiments: nothing is smuggled through fork copy-on-write
-(the kernel and every argument cross a real pickle boundary,
-repro-lint REP303; workers touch no module-level state, REP103), and
-no wait is unbounded — the parent polls pipes and process sentinels
-together, so a dead worker is detected immediately and a hung one is
-killed at its per-block timeout. Failures are classified:
+Every block attempt runs in its own one-shot **spawn** worker of
+:class:`repro.core.workers.WorkerPool`, the layer that also supervises
+experiments: nothing is smuggled through fork copy-on-write (the
+kernel and every argument cross a real pickle boundary, repro-lint
+REP303; workers touch no module-level state, REP103), a dead worker or
+a finished result is seen at once, and a hung worker is killed at its
+per-block timeout. This module decides what each ended attempt means:
 
 ``crash`` / ``timeout``
     Transient. The block is retried with seeded-jitter capped
-    exponential backoff (:func:`repro.core.retry.backoff_delay`), up to
+    exponential backoff (:func:`repro.core.workers.backoff_delay`), up to
     ``retries`` extra attempts, then falls back to inline execution in
     the parent. Repeated transient failures across the pool trip a
     circuit breaker (``degrade_after``) that finishes every remaining
@@ -58,14 +57,13 @@ optional ``timings`` so they surface in the caller's recovery footer.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .retry import backoff_delay
 from .shard import VERIFY_MODES, ShardIntegrityError, ShardedTable
 from .timing import Timings
+from .workers import WorkerPool
 
 __all__ = [
     "MapReduceConfig",
@@ -116,8 +114,6 @@ class MapReduceConfig:
     #: speculative duplicate. ``None`` disables speculation.
     straggler_factor: float | None = 4.0
     straggler_floor: float = 1.0
-    #: Supervision loop granularity (result/deadline polling).
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.retries < 0:
@@ -131,15 +127,6 @@ class MapReduceConfig:
                 f"unknown verify mode {self.verify!r}; available: "
                 f"{VERIFY_MODES}"
             )
-
-
-def _now() -> float:
-    """Scheduling clock for block timeouts/backoff (observability only).
-
-    Never feeds results — the supervisor only decides *when* to run
-    work whose *content* is fixed by the shard bytes and the kernel.
-    """
-    return time.monotonic()  # reprolint: disable=REP501
 
 
 def merge_accumulators(left: object, right: object) -> object:
@@ -214,23 +201,6 @@ def _format_error(exc: BaseException) -> str:
     ).strip()
 
 
-@dataclass
-class _Pending:
-    block: int
-    attempt: int
-    eligible_at: float
-
-
-@dataclass
-class _Running:
-    block: int
-    attempt: int
-    process: object
-    conn: object
-    started: float
-    kill_at: float | None
-
-
 class _HealState:
     """Current table root plus the heal budget, shared across blocks."""
 
@@ -285,20 +255,6 @@ def _run_block_inline(
             state.heal(heal, _format_error(exc), config, timings)
 
 
-def _terminate(worker: _Running) -> None:
-    process = worker.process
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=2.0)
-    try:
-        worker.conn.close()
-    except OSError:
-        pass
-
-
 def _supervise(
     state: _HealState,
     blocks: list[list[int]],
@@ -313,58 +269,9 @@ def _supervise(
     timings: Timings | None,
 ) -> list[object]:
     """Run every block under supervision; results in block order."""
-    ctx = multiprocessing.get_context("spawn")
     n = len(blocks)
     completed: dict[int, object] = {}
-    durations: list[float] = []
-    pending: list[_Pending] = [_Pending(i, 1, 0.0) for i in range(n)]
-    running: list[_Running] = []
     transient = 0
-
-    def launch(item: _Pending) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_block_main,
-            args=(
-                child_conn,
-                state.root,
-                config.verify,
-                item.block,
-                list(blocks[item.block]),
-                kernel,
-                args,
-                fold,
-                merge,
-                inject,
-                item.attempt,
-            ),
-            daemon=True,
-        )
-        try:
-            process.start()
-        except BaseException:
-            # A failed spawn must not leak the pipe: close both ends
-            # before propagating, or the parent accumulates dead fds
-            # across respawn storms.
-            parent_conn.close()
-            raise
-        finally:
-            child_conn.close()
-        now = _now()
-        kill_at = now + config.timeout if config.timeout else None
-        running.append(
-            _Running(item.block, item.attempt, process, parent_conn, now, kill_at)
-        )
-        if item.attempt > 1:
-            _count(timings, "mapreduce_respawns")
-
-    def has_sibling(worker: _Running) -> bool:
-        return any(
-            w.block == worker.block and w is not worker for w in running
-        )
-
-    def is_queued(block: int) -> bool:
-        return any(p.block == block for p in pending)
 
     def run_inline(block: int) -> None:
         completed[block] = _run_block_inline(
@@ -373,151 +280,67 @@ def _supervise(
         )
         _count(timings, "mapreduce_inline")
 
-    def fail_transient(worker: _Running, kind: str) -> None:
-        nonlocal transient
-        transient += 1
-        _count(
-            timings,
-            "mapreduce_block_timeouts"
-            if kind == "timeout"
-            else "mapreduce_crashes",
-        )
-        if worker.block in completed or has_sibling(worker):
-            return  # a speculative sibling already covers this block
-        if worker.attempt <= config.retries:
-            _count(timings, "mapreduce_retries")
-            delay = backoff_delay(
-                config.seed,
-                f"block:{worker.block}",
-                worker.attempt,
-                base=config.backoff_base,
-                cap=config.backoff_cap,
-            )
-            pending.append(
-                _Pending(worker.block, worker.attempt + 1, _now() + delay)
-            )
-        else:
-            run_inline(worker.block)
-
-    def handle_integrity(worker: _Running, message: str) -> None:
-        # The table bytes are damaged: heal (quarantine + re-derive),
-        # then restart every in-flight block against the new root.
-        # Finished block payloads stay valid — re-derivation is
-        # byte-identical — so only unfinished work is requeued.
-        try:
-            state.heal(heal, message, config, timings)
-        except ShardIntegrityError:
-            for other in list(running):
-                _terminate(other)
-            running.clear()
-            raise
-        restart = [worker] + list(running)
-        for other in list(running):
-            _terminate(other)
-        running.clear()
-        for other in restart:
-            if other.block not in completed and not is_queued(other.block):
-                pending.append(_Pending(other.block, other.attempt + 1, 0.0))
-
-    def fail_permanent(message: str) -> None:
-        for other in list(running):
-            _terminate(other)
-        running.clear()
-        raise MapReduceError(message)
-
+    pool = WorkerPool(
+        multiprocessing.get_context("spawn"),
+        _block_main,
+        lambda block, attempt: (
+            state.root, config.verify, block, list(blocks[block]), kernel,
+            args, fold, merge, inject, attempt,
+        ),
+        jobs=jobs,
+        timeout=config.timeout,
+        retries=config.retries,
+        seed=config.seed,
+        backoff_base=config.backoff_base,
+        backoff_cap=config.backoff_cap,
+        straggler_factor=config.straggler_factor,
+        straggler_floor=config.straggler_floor,
+    )
     try:
-        while len(completed) < n:
-            if transient >= config.degrade_after:
-                # Circuit breaker: the pool machinery itself is failing
-                # repeatedly; finish everything inline, in order.
-                for worker in list(running):
-                    _terminate(worker)
-                running.clear()
-                pending.clear()
-                for block in range(n):
-                    if block not in completed:
-                        run_inline(block)
-                break
-            now = _now()
-            pending.sort(key=lambda p: (p.eligible_at, p.block))
-            while (
-                pending
-                and len(running) < jobs
-                and pending[0].eligible_at <= now
-            ):
-                launch(pending.pop(0))
-            if (
-                config.straggler_factor is not None
-                and len(durations) >= max(1, n // 2)
-                and len(running) < jobs
-                and not pending
-            ):
-                median = sorted(durations)[len(durations) // 2]
-                threshold = max(
-                    config.straggler_floor, config.straggler_factor * median
-                )
-                for worker in list(running):
-                    if len(running) >= jobs:
-                        break
-                    if has_sibling(worker):
-                        continue
-                    if now - worker.started > threshold:
-                        _count(timings, "mapreduce_stragglers")
-                        launch(_Pending(worker.block, worker.attempt + 1, now))
-            if not running:
-                if pending:
-                    wake = min(p.eligible_at for p in pending)
-                    delay = min(max(0.0, wake - now), config.backoff_cap)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                break  # nothing running or queued; loop exits via count
-            waitables = [w.process.sentinel for w in running]
-            deadline = now + config.poll_interval
-            for worker in running:
-                if worker.kill_at is not None:
-                    deadline = min(deadline, worker.kill_at)
-            multiprocessing.connection.wait(
-                waitables, timeout=max(0.0, deadline - _now())
-            )
-            now = _now()
-            for worker in list(running):
-                if worker not in running:
-                    continue
-                if worker.conn.poll():
-                    running.remove(worker)
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        _terminate(worker)
-                        fail_transient(worker, "crash")
-                        continue
-                    _terminate(worker)
-                    status, payload = message
+        with pool:
+            for block in range(n):
+                pool.submit(block)
+            for ended in pool:
+                if ended.kind == "message":
+                    status, payload = ended.message  # type: ignore[misc]
                     if status == "ok":
-                        if worker.block not in completed:
-                            completed[worker.block] = payload
-                            durations.append(now - worker.started)
-                        for sibling in list(running):
-                            if sibling.block == worker.block:
-                                _terminate(sibling)
-                                running.remove(sibling)
+                        completed.setdefault(ended.key, payload)  # type: ignore
+                        pool.finish(ended)
                     elif status == "integrity":
-                        handle_integrity(worker, payload)
+                        # The table bytes are damaged: heal (quarantine +
+                        # re-derive), then restart every in-flight block
+                        # against the new root. Finished block payloads
+                        # stay valid (re-derivation is byte-identical),
+                        # so only unfinished work is requeued.
+                        state.heal(heal, payload, config, timings)
+                        pool.restart(ended)
                     else:
-                        fail_permanent(payload)
-                elif not worker.process.is_alive():
-                    running.remove(worker)
-                    _terminate(worker)
-                    fail_transient(worker, "crash")
-                elif worker.kill_at is not None and now >= worker.kill_at:
-                    running.remove(worker)
-                    _terminate(worker)
-                    fail_transient(worker, "timeout")
+                        raise MapReduceError(payload)
+                    continue
+                transient += 1
+                _count(
+                    timings,
+                    "mapreduce_block_timeouts"
+                    if ended.kind == "timeout"
+                    else "mapreduce_crashes",
+                )
+                if ended.key in completed or pool.running(ended.key):
+                    pass  # a speculative sibling already covers this block
+                elif pool.retry(ended):
+                    _count(timings, "mapreduce_retries")
+                else:
+                    run_inline(ended.key)  # type: ignore[arg-type]
+                if transient >= config.degrade_after:
+                    # Circuit breaker: the pool machinery itself is
+                    # failing repeatedly; finish everything inline, in
+                    # order.
+                    pool.cancel()
+                    for block in range(n):
+                        if block not in completed:
+                            run_inline(block)
     finally:
-        for worker in list(running):
-            _terminate(worker)
-        running.clear()
+        _count(timings, "mapreduce_respawns", pool.respawns)
+        _count(timings, "mapreduce_stragglers", pool.stragglers)
     return [completed[block] for block in range(n)]
 
 

@@ -48,13 +48,13 @@ from .datasets import (
     reset_dataset_stats,
 )
 from .faults import FaultPlan, plan_from_env
-from .parallel import run_experiments
 from .registry import EXPERIMENTS
 from .supervisor import (
     SupervisorConfig,
     journal_path,
     load_journal,
     run_id,
+    run_one,
     run_supervised,
     write_journal_header,
 )
@@ -380,9 +380,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 completed=completed,
             )
         else:
-            outcomes = run_experiments(
-                ids, scale=scale, seed=seed, jobs=args.jobs, timings=timings
-            )
+            # Serial, in-process. Each outcome carries its own stages and
+            # dataset-counter deltas, which sum to the run's.
+            outcomes = [run_one(exp_id, scale, seed) for exp_id in ids]
+            for outcome in outcomes:
+                timings.merge(outcome.timings)
 
     failures = []
     for outcome in outcomes:

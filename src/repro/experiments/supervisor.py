@@ -6,10 +6,12 @@ corrupted cache entry — never changes *what* the run would produce,
 only *whether* it finishes. This module makes the harness survive those
 failures instead of amplifying them:
 
-* Every attempt runs in its own forked worker process with a one-shot
-  result pipe. A crash or hang therefore has a blast radius of exactly
-  one attempt: there is no shared pool to break, nothing to rebuild,
-  and "requeue only unfinished work" is the only possible behaviour.
+* Every attempt runs in its own forked worker of
+  :class:`repro.core.workers.WorkerPool`, with a one-shot result pipe.
+  A crash or hang therefore has a blast radius of exactly one attempt:
+  there is no shared pool to break, nothing to rebuild, and "requeue
+  only unfinished work" is the only possible behaviour. Leaving the
+  pool terminates every live worker, even when journaling raises.
 * Failures are classified — ``crash`` (worker died), ``timeout``
   (exceeded the per-experiment wall-clock budget and was killed),
   ``cache-corruption`` (a typed corruption error surfaced), or
@@ -41,17 +43,15 @@ import hashlib
 import json
 import multiprocessing
 import os
-import time
 import traceback
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
 from .. import __version__
 from ..core.diskcache import CacheCorruptionError
-from ..core.retry import backoff_delay
 from ..core.timing import Timings
+from ..core.workers import Attempt, WorkerPool
 from . import datasets
 from .faults import FaultPlan
 from .registry import run_experiment
@@ -60,7 +60,6 @@ __all__ = [
     "ExperimentOutcome",
     "SupervisorConfig",
     "TRANSIENT_KINDS",
-    "backoff_delay",
     "journal_path",
     "load_journal",
     "run_id",
@@ -72,16 +71,6 @@ __all__ = [
 #: Failure classes the supervisor retries (capped by ``retries``).
 #: ``exception`` is deterministic under the purity contract and is not.
 TRANSIENT_KINDS = frozenset({"crash", "timeout", "cache-corruption"})
-
-
-def _now() -> float:
-    """Scheduling clock for timeouts/deadlines (observability only).
-
-    Never feeds rendered results — REP501's determinism contract is
-    about outputs, and the supervisor only uses the clock to decide
-    *when* to run work whose *content* is fixed by ``(scale, seed)``.
-    """
-    return time.monotonic()  # reprolint: disable=REP501
 
 
 @dataclass
@@ -142,8 +131,6 @@ class SupervisorConfig:
     backoff_cap: float = 30.0
     #: Cancel the rest of the run on the first permanent failure.
     fail_fast: bool = False
-    #: Supervision loop granularity (result/deadline polling).
-    poll_interval: float = 0.05
 
 
 def classify_exception(exc: BaseException) -> str:
@@ -319,39 +306,34 @@ def _child_main(
         conn.close()
 
 
-@dataclass
-class _Running:
-    """Book-keeping for one live worker attempt."""
-
-    experiment_id: str
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    conn: object  # parent end of the result pipe
-    kill_at: float | None  # monotonic deadline, None = no timeout
+#: Counter bumped for each worker attempt that ended without a message.
+_FAILURE_COUNTERS = {
+    "crash": "worker_crashes",
+    "timeout": "experiment_timeouts",
+}
 
 
-@dataclass
-class _Pending:
-    """An attempt waiting for a worker slot (possibly in backoff)."""
-
-    experiment_id: str
-    attempt: int = 1
-    eligible_at: float = 0.0  # monotonic time before which it must wait
-
-
-def _terminate(worker: _Running) -> None:
-    """Stop a live worker, escalating SIGTERM -> SIGKILL."""
-    process = worker.process
-    if process.is_alive():
-        process.terminate()
-        process.join(timeout=1.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=5.0)
-    try:
-        worker.conn.close()  # type: ignore[attr-defined]
-    except OSError:
-        pass
+def _outcome(ended: Attempt, timeout: float | None) -> ExperimentOutcome:
+    """What one ended worker attempt means for its experiment."""
+    if ended.kind == "message":
+        return ended.message  # type: ignore[return-value]
+    if ended.kind == "crash":
+        error = (
+            f"worker for {ended.key} died with exit code {ended.exitcode} "
+            f"(attempt {ended.attempt})"
+        )
+    else:
+        error = (
+            f"experiment {ended.key} exceeded its {timeout:.1f}s timeout "
+            f"(attempt {ended.attempt}); worker killed"
+        )
+    return ExperimentOutcome(
+        experiment_id=str(ended.key),
+        ok=False,
+        error=error,
+        error_kind=ended.kind,
+        attempts=ended.attempt,
+    )
 
 
 def run_supervised(
@@ -377,16 +359,16 @@ def run_supervised(
     parent_before = dict(datasets.dataset_stats())
 
     results: dict[str, ExperimentOutcome] = {}
-    pending: list[_Pending] = []
+    todo: list[str] = []
     for experiment_id in ids:
         previous = (completed or {}).get(experiment_id)
         if previous is not None and previous.ok:
             results[experiment_id] = previous
             timings.count("resumed")
         else:
-            pending.append(_Pending(experiment_id))
+            todo.append(experiment_id)
 
-    if pending:
+    if todo:
         with timings.stage("warm-datasets"):
             warm_datasets(scale, seed)
 
@@ -397,212 +379,63 @@ def run_supervised(
         "fork" if "fork" in methods else None
     )
 
-    run_deadline = (
-        _now() + config.deadline if config.deadline is not None else None
-    )
-    running: list[_Running] = []
-    cancel_reason: str | None = None
-
     def finalize(outcome: ExperimentOutcome) -> None:
         results[outcome.experiment_id] = outcome
         timings.merge(outcome.timings)
         if journal is not None and outcome.error_kind != "cancelled":
             append_journal(journal, outcome)
 
-    def schedule_retry(item: _Pending, outcome: ExperimentOutcome) -> bool:
-        """Requeue a transient failure; False when retries are spent."""
-        if (
-            outcome.error_kind not in TRANSIENT_KINDS
-            or item.attempt > config.retries
-        ):
-            return False
-        delay = backoff_delay(
-            seed,
-            item.experiment_id,
-            item.attempt,
-            base=config.backoff_base,
-            cap=config.backoff_cap,
-        )
-        pending.append(
-            _Pending(
-                experiment_id=item.experiment_id,
-                attempt=item.attempt + 1,
-                eligible_at=_now() + delay,
-            )
-        )
-        timings.count("retries")
-        timings.count("requeued")
-        return True
-
-    def cancel_remaining(reason: str) -> None:
-        for worker in running:
-            _terminate(worker)
+    def cancel_remaining(pool: WorkerPool, reason: str) -> None:
+        for experiment_id, started in pool.cancel():
             finalize(
                 ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
+                    experiment_id=str(experiment_id),
                     ok=False,
                     error=f"cancelled: {reason}",
                     error_kind="cancelled",
-                    attempts=worker.attempt,
+                    attempts=max(1, started),
                 )
             )
             timings.count("cancelled")
-        running.clear()
-        for item in pending:
-            finalize(
-                ExperimentOutcome(
-                    experiment_id=item.experiment_id,
-                    ok=False,
-                    error=f"cancelled: {reason}",
-                    error_kind="cancelled",
-                    attempts=max(1, item.attempt - 1),
-                )
-            )
-            timings.count("cancelled")
-        pending.clear()
 
-    while pending or running:
-        now = _now()
-        if run_deadline is not None and now >= run_deadline:
-            cancel_remaining("run deadline exceeded")
-            break
-        if cancel_reason is not None:
-            cancel_remaining(cancel_reason)
-            break
-
-        # Launch eligible work into free slots.
-        launchable = [
-            item for item in pending if item.eligible_at <= now
-        ]
-        while launchable and len(running) < max(1, config.jobs):
-            item = launchable.pop(0)
-            pending.remove(item)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_child_main,
-                args=(
-                    child_conn,
-                    item.experiment_id,
-                    scale,
-                    seed,
-                    item.attempt,
-                    plan,
-                    cache_dir,
-                ),
-            )
-            process.start()
-            child_conn.close()
-            kill_at = (
-                now + config.timeout if config.timeout is not None else None
-            )
-            if run_deadline is not None:
-                kill_at = (
-                    run_deadline if kill_at is None else min(kill_at, run_deadline)
-                )
-            running.append(
-                _Running(
-                    experiment_id=item.experiment_id,
-                    attempt=item.attempt,
-                    process=process,
-                    conn=parent_conn,
-                    kill_at=kill_at,
-                )
-            )
-
-        if not running:
-            # Everything pending is in backoff; sleep until the nearest
-            # retry becomes eligible (bounded by the poll interval floor
-            # and the run deadline).
-            if pending:
-                wake = min(item.eligible_at for item in pending)
-                sleep_s = max(config.poll_interval, wake - _now())
-                if run_deadline is not None:
-                    sleep_s = min(sleep_s, max(0.0, run_deadline - _now()))
-                time.sleep(sleep_s)
-            continue
-
-        # Wait until a worker reports, dies, or a deadline needs checking.
-        waitables = [worker.conn for worker in running] + [
-            worker.process.sentinel for worker in running
-        ]
-        timeout = config.poll_interval
-        kill_ats = [w.kill_at for w in running if w.kill_at is not None]
-        if kill_ats:
-            timeout = max(0.0, min(min(kill_ats) - _now(), timeout))
-        _connection_wait(waitables, timeout=timeout)
-
-        still_running: list[_Running] = []
-        for worker in running:
-            item = _Pending(worker.experiment_id, worker.attempt)
-            outcome: ExperimentOutcome | None = None
-            if worker.conn.poll():  # type: ignore[attr-defined]
-                try:
-                    outcome = worker.conn.recv()  # type: ignore[attr-defined]
-                except (EOFError, OSError):
-                    outcome = None  # died mid-send: treat as a crash
-            if outcome is not None:
-                worker.process.join()
-                worker.conn.close()  # type: ignore[attr-defined]
-                if outcome.ok or not schedule_retry(item, outcome):
-                    finalize(outcome)
-                    if not outcome.ok and config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {outcome.experiment_id} "
-                            f"failed ({outcome.error_kind})"
-                        )
+    with WorkerPool(
+        ctx,
+        _child_main,
+        lambda experiment_id, attempt: (
+            experiment_id, scale, seed, attempt, plan, cache_dir,
+        ),
+        jobs=config.jobs,
+        timeout=config.timeout,
+        deadline=config.deadline,
+        retries=config.retries,
+        seed=seed,
+        backoff_base=config.backoff_base,
+        backoff_cap=config.backoff_cap,
+    ) as pool:
+        for experiment_id in todo:
+            pool.submit(experiment_id)
+        for ended in pool:
+            if ended.kind in _FAILURE_COUNTERS:
+                timings.count(_FAILURE_COUNTERS[ended.kind])
+            outcome = _outcome(ended, config.timeout)
+            if (
+                not outcome.ok
+                and outcome.error_kind in TRANSIENT_KINDS
+                and pool.retry(ended)
+            ):
+                timings.count("retries")
+                timings.count("requeued")
                 continue
-            if not worker.process.is_alive():
-                worker.process.join()
-                worker.conn.close()  # type: ignore[attr-defined]
-                code = worker.process.exitcode
-                timings.count("worker_crashes")
-                crashed = ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
-                    ok=False,
-                    error=(
-                        f"worker for {worker.experiment_id} died with exit "
-                        f"code {code} (attempt {worker.attempt})"
-                    ),
-                    error_kind="crash",
-                    attempts=worker.attempt,
+            finalize(outcome)
+            if not outcome.ok and config.fail_fast:
+                cancel_remaining(
+                    pool,
+                    f"fail-fast after {outcome.experiment_id} failed "
+                    f"({outcome.error_kind})",
                 )
-                if not schedule_retry(item, crashed):
-                    finalize(crashed)
-                    if config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {worker.experiment_id} "
-                            "failed (crash)"
-                        )
-                continue
-            if worker.kill_at is not None and _now() >= worker.kill_at:
-                _terminate(worker)
-                timings.count("experiment_timeouts")
-                timed_out = ExperimentOutcome(
-                    experiment_id=worker.experiment_id,
-                    ok=False,
-                    error=(
-                        f"experiment {worker.experiment_id} exceeded its "
-                        f"{config.timeout:.1f}s timeout "
-                        f"(attempt {worker.attempt}); worker killed"
-                    )
-                    if config.timeout is not None
-                    else (
-                        f"experiment {worker.experiment_id} killed at the "
-                        f"run deadline (attempt {worker.attempt})"
-                    ),
-                    error_kind="timeout",
-                    attempts=worker.attempt,
-                )
-                if not schedule_retry(item, timed_out):
-                    finalize(timed_out)
-                    if config.fail_fast:
-                        cancel_reason = (
-                            f"fail-fast after {worker.experiment_id} "
-                            "failed (timeout)"
-                        )
-                continue
-            still_running.append(worker)
-        running = still_running
+        # Iteration ends with work left only at the run deadline; a
+        # worker still running then is cancelled, not timed out.
+        cancel_remaining(pool, "run deadline exceeded")
 
     # Run-level counters: the parent's warm-up traffic plus each
     # worker's own deltas (carried in the outcomes' timings).

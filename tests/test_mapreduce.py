@@ -8,6 +8,7 @@ computation bit for bit, for any shard size and for the spawn pool.
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import dataclass
 
 from pathlib import Path
@@ -318,12 +319,35 @@ class TestSupervision:
             sharded,
             _sum_kernel,
             jobs=2,
-            config=MapReduceConfig(timeout=1.0, poll_interval=0.02, **_FAST),
+            config=MapReduceConfig(timeout=1.0, **_FAST),
             inject=_HangOnce(block=0),
             timings=timings,
         )
         assert got == map_shards(sharded, _sum_kernel)
         assert timings.counters["mapreduce_block_timeouts"] >= 1
+
+    def test_straggler_gets_a_speculative_duplicate(self, tmp_path):
+        # Block 1's first attempt stalls for a minute and no timeout is
+        # set: only a speculative duplicate can finish it in time, and
+        # the stalled loser is killed once the duplicate wins.
+        values, sharded = self._sharded(tmp_path, n=40, rows=5)
+        timings = Timings()
+        start = time.monotonic()
+        got = map_reduce(
+            sharded,
+            _ecdf_kernel,
+            jobs=2,
+            config=MapReduceConfig(
+                straggler_factor=1.0, straggler_floor=0.2, **_FAST
+            ),
+            inject=_HangOnce(block=1, seconds=60),
+            timings=timings,
+        ).finalize()
+        assert time.monotonic() - start < 30
+        serial = map_reduce(sharded, _ecdf_kernel).finalize()
+        np.testing.assert_array_equal(got.values, serial.values)
+        np.testing.assert_array_equal(got.probabilities, serial.probabilities)
+        assert timings.counters["mapreduce_stragglers"] == 1
 
     def test_kernel_exception_is_permanent(self, tmp_path):
         values, sharded = self._sharded(tmp_path, n=20, rows=5)
@@ -545,7 +569,6 @@ class TestStreamingChaos:
                 retries=4,
                 degrade_after=10,
                 straggler_factor=None,
-                poll_interval=0.02,
                 **_FAST,
             ),
             inject=_Chain(

@@ -5,11 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.timing import Timings
 from repro.experiments import datasets
-from repro.experiments.parallel import run_experiments, warm_datasets
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import main as runner_main
+from repro.experiments.supervisor import (
+    SupervisorConfig,
+    run_one,
+    run_supervised,
+    warm_datasets,
+)
 
 
 @pytest.fixture
@@ -85,8 +89,10 @@ class TestSerialParallelEquivalence:
     def test_full_registry_byte_identical(self, cache_dir):
         datasets.configure_cache(cache_dir)
         ids = list(EXPERIMENTS)
-        serial = run_experiments(ids, scale="small", seed=0, jobs=1)
-        parallel = run_experiments(ids, scale="small", seed=0, jobs=2)
+        serial = [run_one(i, "small", 0) for i in ids]
+        parallel = run_supervised(
+            ids, scale="small", seed=0, config=SupervisorConfig(jobs=2)
+        )
         assert [o.experiment_id for o in serial] == ids
         assert [o.experiment_id for o in parallel] == ids
         assert all(o.ok for o in serial)
@@ -100,20 +106,17 @@ class TestSerialParallelEquivalence:
 
         monkeypatch.setitem(EXPERIMENTS, "fig2", boom)
         datasets.configure_cache(None)
-        outcomes = run_experiments(["fig2", "fig4"], scale="small", seed=0)
+        outcomes = [run_one(i, "small", 0) for i in ("fig2", "fig4")]
         assert not outcomes[0].ok
         assert "synthetic failure" in outcomes[0].error
         assert outcomes[1].ok
 
     def test_timings_collected(self, cache_dir):
         datasets.configure_cache(cache_dir)
-        timings = Timings()
-        run_experiments(
-            ["fig4"], scale="small", seed=0, jobs=1, timings=timings
-        )
+        timings = run_one("fig4", "small", 0).timings
         assert "run:fig4" in timings.stages
         assert "render:fig4" in timings.stages
-        assert timings.counters.get("workload_builds", 0) >= 0
+        assert "workload_builds" in timings.counters
 
     def test_warm_datasets_populates_memo(self, cache_dir):
         datasets.configure_cache(cache_dir)

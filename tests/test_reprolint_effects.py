@@ -18,8 +18,11 @@ import pytest
 
 from repro.analysis import lint_paths
 from repro.analysis.cli import explain_rule, main as cli_main
+from repro.analysis.config import load_config
 from repro.analysis.graph import build_project_graph, summarize_module
 from repro.analysis.reporters import render_sarif
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 MINI_PYPROJECT = """\
 [project]
@@ -949,3 +952,29 @@ class TestEffectSummaries:
         facts = graph.effect_facts_for_module("repro.core.state")
         assert [f[0] for f in facts] == ["repro.core.state.work"]
         assert graph.effect_facts_for_module("repro.traces.none") == ()
+
+
+class TestRepositoryWorkerRoots:
+    def test_supervised_entry_points_are_worker_roots(self):
+        # core.workers starts processes from a target parameter, so the
+        # repository's two worker entry points reach REP103 only through
+        # the configured worker-roots; renaming one must fail here.
+        summaries = {}
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            relpath = path.relative_to(REPO_ROOT).as_posix()
+            parts = path.relative_to(REPO_ROOT / "src").with_suffix("").parts
+            module = ".".join(parts).removesuffix(".__init__")
+            summaries[relpath] = summarize_module(
+                path.read_text(encoding="utf-8"), module, relpath, "repro"
+            )
+        graph = build_project_graph(summaries, "repro")
+        roots = {
+            qualname
+            for qualname, _ in graph.worker_roots(
+                load_config(REPO_ROOT).worker_roots
+            )
+        }
+        assert {
+            "repro.experiments.supervisor._child_main",
+            "repro.core.mapreduce._block_main",
+        } <= roots

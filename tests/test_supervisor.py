@@ -7,6 +7,8 @@ rebuilding the small-scale datasets.
 
 from __future__ import annotations
 
+import errno
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -16,19 +18,19 @@ from pathlib import Path
 import pytest
 
 from repro.core.timing import Timings
-from repro.experiments import datasets
+from repro.core.workers import backoff_delay
+from repro.experiments import datasets, supervisor
 from repro.experiments.faults import FaultPlan
-from repro.experiments.parallel import run_experiments
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import main as runner_main
 from repro.experiments.supervisor import (
     ExperimentOutcome,
     SupervisorConfig,
     append_journal,
-    backoff_delay,
     journal_path,
     load_journal,
     run_id,
+    run_one,
     run_supervised,
     warm_datasets,
     write_journal_header,
@@ -118,7 +120,7 @@ class TestFaultRecovery:
                 {"experiment_id": "tab1", "attempt": 1, "kind": "corrupt-cache"},
             ]
         )
-        clean = run_experiments(ids, scale="small", seed=0, jobs=1)
+        clean = [run_one(i, "small", 0) for i in ids]
         timings = Timings()
         faulted = run_supervised(
             ids,
@@ -144,6 +146,35 @@ class TestFaultRecovery:
         assert timings.counters["requeued"] == 2
         assert timings.counters["faults_injected"] == 1  # corrupt-cache only
         assert timings.counters["cache_quarantined"] == 1
+
+    def test_raise_while_journaling_stops_every_worker(
+        self, cache, tmp_path, monkeypatch
+    ):
+        # fig4 finishes and its checkpoint hits a full disk while fig3's
+        # worker hangs: the raise must not leave that worker running.
+        def full_disk(path, outcome):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(supervisor, "append_journal", full_disk)
+        journal = journal_path(tmp_path, "abc123def456")
+        write_journal_header(journal, ["fig3", "fig4"], "small", 0)
+        plan = FaultPlan.from_obj(
+            [{"experiment_id": "fig3", "kind": "hang", "seconds": 600}]
+        )
+        with pytest.raises(OSError):
+            run_supervised(
+                ["fig3", "fig4"],
+                scale="small",
+                seed=0,
+                config=SupervisorConfig(jobs=2),
+                plan=plan,
+                journal=journal,
+            )
+        live = multiprocessing.active_children()
+        for child in live:  # do not leave a failing run's hang behind
+            child.kill()
+            child.join()
+        assert live == []
 
     def test_exception_is_permanent_not_retried(self, cache, monkeypatch):
         def boom(scale="paper", seed=0):
@@ -233,7 +264,7 @@ class TestResumeAfterKill:
 
         datasets.configure_cache(warm_cache)
         datasets.reset_dataset_stats()
-        serial = run_experiments(ids, scale="small", seed=0, jobs=1)
+        serial = [run_one(i, "small", 0) for i in ids]
         assert all(o.ok for o in serial)
         expected_stdout = "".join(o.rendered + "\n\n" for o in serial)
 
